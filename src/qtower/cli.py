@@ -7,7 +7,6 @@ domain error, 2 I/O or file-format error.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -359,6 +358,8 @@ def _one_shot(command: str, session: Session | None = None) -> int:
 
 
 def main(argv=None) -> int:
+    import argparse  # only the command line needs it, not sessions or the REPL loop
+
     parser = argparse.ArgumentParser(
         prog="qtower",
         description="Exact arithmetic in towers of real quadratic field "

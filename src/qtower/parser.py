@@ -316,7 +316,12 @@ def eval_expr(node, tower: Tower, bindings=None) -> TowerElement:
             return tower.div(left, right)
         raise TypeError(f"not an expression node: {n!r}")
 
-    return ev(node)
+    try:
+        return ev(node)
+    finally:
+        # ev refers to itself through its closure; dropping the name frees it
+        # and the tower it holds now, not at the next full garbage collection
+        del ev
 
 
 _PRECEDENCE_ATOM = 5

@@ -184,8 +184,9 @@ def rrt_candidates(p: Polynomial) -> list[Fraction]:
     if a0 == 0:
         return [Fraction(0)]
     candidates = set()
+    dens = divisors(abs(a3))
     for num in divisors(abs(a0)):
-        for den in divisors(abs(a3)):
+        for den in dens:
             candidates.add(Fraction(num, den))
             candidates.add(Fraction(-num, den))
     return sorted(candidates)

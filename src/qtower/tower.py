@@ -12,14 +12,34 @@ highest bit, so the first half of a coordinate vector is the subfield
 part a and the second half the extension part b in the unique
 decomposition x = a + b*g_k.
 
+Arithmetic runs on integer vectors. Each tower rescales its generators,
+g_i' = D_i*g_i with D_i > 0 the least common denominator of s_i's
+coordinates in the rescaled basis below, so that every square s_i' =
+D_i^2*s_i is an integer vector and integer vectors form a ring. Coordinate
+j of an element converts between the two bases by the product of the D_i
+over the set bits of j; an element enters the kernel once per public
+operation as an integer vector over one positive denominator, and leaves
+it once as Fractions. In that ring a product takes three half-size
+products plus one product by s (Karatsuba on a + b*g):
+
+    (a1 + b1*g)(a2 + b2*g) = (a1*a2 + s*b1*b2)
+                             + ((a1 + b1)(a2 + b2) - a1*a2 - b1*b2)*g
+
+so a dense level-k product costs 4^k integer products on nested towers and
+3^k on towers whose squares are rational, where the product by s is a
+scalar multiple; products by zero halves are skipped. Inversion, signs and
+square roots recurse through the norm a^2 - s*b^2 on the same kernel.
+
 Towers and elements are immutable; every operation is a pure function, so
 values are safe to share across threads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import mpmath
 
@@ -31,34 +51,173 @@ from .errors import (
     NotAProperExtension,
     TowerFormatError,
 )
-from .exactnum import format_rational, parse_rational, rational_square_root
+from .exactnum import format_rational, parse_rational
 
 _ZERO = Fraction(0)
-_HALF = Fraction(1, 2)
+
+# Coordinate tuples are built from lists, never from generators: CPython sizes
+# tuple(<generator>) by resizing, so its freed small tuples pile up (up to 2000
+# per length) on free lists that exact-size allocations never drain.
 
 
 def _as_fractions(coords) -> tuple[Fraction, ...]:
-    return tuple(Fraction(c) for c in coords)
-
-
-def _add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _neg(a):
-    return tuple(-x for x in a)
-
-
-def _scale(a, q):
-    return tuple(q * x for x in a)
+    return tuple([c if type(c) is Fraction else Fraction(c) for c in coords])
 
 
 def _is_zero(a):
     return all(x == 0 for x in a)
+
+
+# -- the integer kernel -------------------------------------------------------
+#
+# A level-k vector is a list of 2^k ints in the rescaled basis; `squares`
+# holds each rescaled square s_i', as an int when it is rational and as a
+# level-(i-1) vector otherwise. The type of s_i' is the rational-level flag.
+
+
+def _times_square(v, k, squares):
+    """v*s' for the level-k vector v, where s' is the square of generator
+    k+1 (which lives at level k)."""
+    s = squares[k]
+    if type(s) is int:
+        return [s * x for x in v]
+    return _mul(s, v, k, squares)
+
+
+def _mul(a, b, k, squares):
+    """The product of the level-k vectors a and b: three half-size
+    products and one product by s per level, fewer when a half is zero."""
+    if k == 1:
+        a1, b1 = a
+        a2, b2 = b
+        p, q = a1 * a2, b1 * b2
+        return [p + squares[0] * q, (a1 + b1) * (a2 + b2) - p - q]
+    if k == 0:
+        return [a[0] * b[0]]
+    if not (any(a) and any(b)):
+        return [0] * len(a)
+    h = len(a) >> 1
+    a1, b1, a2, b2 = a[:h], a[h:], b[:h], b[h:]
+    k -= 1
+    p = _mul(a1, a2, k, squares)
+    q = _mul(b1, b2, k, squares)
+    if any(a1) and any(b1) and any(a2) and any(b2):
+        r = _mul([x + y for x, y in zip(a1, b1)], [x + y for x, y in zip(a2, b2)], k, squares)
+        high = [z - x - y for x, y, z in zip(p, q, r)]
+    else:
+        # a zero half: at most one cross product is nonzero
+        high = [x + y for x, y in zip(_mul(a1, b2, k, squares), _mul(b1, a2, k, squares))]
+    return [x + y for x, y in zip(p, _times_square(q, k, squares))] + high
+
+
+def _norm(a, b, k, squares):
+    """a^2 - s*b^2 for the halves a, b (level k) of a level-(k+1) vector."""
+    sb2 = _times_square(_mul(b, b, k, squares), k, squares)
+    return [x - y for x, y in zip(_mul(a, a, k, squares), sb2)]
+
+
+def _reduced(v, den):
+    """(v, den) over the smallest positive denominator."""
+    g = math.gcd(den, *v)
+    if g == 1:
+        return v, den
+    return [x // g for x in v], den // g
+
+
+def _inv(a, k, squares):
+    """(v, m) with a*v = m, m a positive integer, for the nonzero level-k
+    vector a = c + d*g: 1/a = (c - d*g)/N with N = c^2 - s*d^2, and a
+    subfield element inverts one level down."""
+    if k == 0:
+        n = a[0]
+        return [1 if n > 0 else -1], abs(n)
+    h = len(a) >> 1
+    sub, ext = a[:h], a[h:]
+    k -= 1
+    if not any(ext):
+        v, m = _inv(sub, k, squares)
+        return v + [0] * h, m
+    norm = _norm(sub, ext, k, squares)
+    if not any(norm):
+        raise InvalidTower("norm of a nonzero element vanished")
+    v, m = _inv(norm, k, squares)
+    high = [-x for x in _mul(ext, v, k, squares)]
+    return _reduced(_mul(sub, v, k, squares) + high, m)
+
+
+def _sign(a, k, squares):
+    """The sign of the level-k vector a. With a = c + d*g, g > 0: equal
+    signs of c and d win outright; otherwise the part with the larger
+    magnitude wins, and c^2 versus s*d^2 is compared one level down."""
+    if k == 0:
+        v = a[0]
+        return (v > 0) - (v < 0)
+    h = len(a) >> 1
+    sub, ext = a[:h], a[h:]
+    k -= 1
+    sign_ext = _sign(ext, k, squares)
+    if sign_ext == 0:
+        return _sign(sub, k, squares)
+    sign_sub = _sign(sub, k, squares)
+    if sign_sub == 0 or sign_sub == sign_ext:
+        return sign_ext
+    cmp = _sign(_norm(sub, ext, k, squares), k, squares)
+    if cmp == 0:
+        raise InvalidTower("|a| = |b*g| with opposite signs: generator lies in the subfield")
+    return sign_sub if cmp > 0 else sign_ext
+
+
+def _sqrt(a, k, squares):
+    """(w, e) with (w/e)^2 = a and e > 0 for the level-k vector a, or None
+    when a is not a square at level k.
+
+    For a = c + d*g with d != 0, any root u + t*g forces u^2 = (c +- r)/2
+    with r^2 = c^2 - s*d^2 and t = d/(2u); the + branch is tried first.
+    Then (u + t*g)^2 = u^2 + s*d^2/(4u^2) + d*g = c + d*g exactly, since
+    s*d^2 = (c + r)(c - r). Every step scales by positive integers only,
+    so the root found is the one the rational recursion finds.
+    """
+    if k == 0:
+        n = a[0]
+        if n < 0:
+            return None
+        r = math.isqrt(n)
+        return ([r], 1) if r * r == n else None
+    h = len(a) >> 1
+    sub, ext = a[:h], a[h:]
+    k -= 1
+    zeros = [0] * h
+    if not any(ext):
+        # a = c: either u^2 = c, or a = (t*g)^2 with t^2 = c/s
+        root = _sqrt(sub, k, squares)
+        if root is not None:
+            return root[0] + zeros, root[1]
+        s = squares[k]
+        if type(s) is int:
+            csq, m = [x * s for x in sub], abs(s)
+        else:
+            v, m = _inv(s, k, squares)
+            csq = [x * m for x in _mul(sub, v, k, squares)]
+        # c/s = csq/m^2
+        root = _sqrt(csq, k, squares)
+        if root is None:
+            return None
+        return _reduced(zeros + root[0], root[1] * m)
+    root = _sqrt(_norm(sub, ext, k, squares), k, squares)
+    if root is None:
+        return None
+    r, er = root
+    for sign in (1, -1):
+        # u^2 = (c + sign*r/er)/2, so (2*er*u)^2 = 2*er*(er*c + sign*r)
+        root = _sqrt([2 * er * (er * x + sign * y) for x, y in zip(sub, r)], k, squares)
+        if root is None or not any(root[0]):
+            continue
+        u, eu = root
+        # u = U/(2*er*eu) and t = d/(2u) = d*er*eu/U = d*er*eu*v/m
+        v, m = _inv(u, k, squares)
+        t = [x * (2 * er * eu) * er * eu for x in _mul(ext, v, k, squares)]
+        return _reduced([x * m for x in u] + t, 2 * er * eu * m)
+    return None
 
 
 @dataclass(frozen=True)
@@ -119,10 +278,11 @@ class TowerElement:
         if self.level == 0:
             raise LevelMismatch("conjugation needs a top generator (level >= 1)")
         a, b = self._halves()
-        return TowerElement(self.level, a + _neg(b))
+        return TowerElement(self.level, a + tuple([-x for x in b]))
 
     def scale(self, q) -> TowerElement:
-        return TowerElement(self.level, _scale(self.coords, Fraction(q)))
+        q = Fraction(q)
+        return TowerElement(self.level, tuple([q * x for x in self.coords]))
 
     def _check_level(self, other):
         if self.level != other.level:
@@ -132,14 +292,14 @@ class TowerElement:
 
     def __add__(self, other: TowerElement) -> TowerElement:
         self._check_level(other)
-        return TowerElement(self.level, _add(self.coords, other.coords))
+        return TowerElement(self.level, tuple([x + y for x, y in zip(self.coords, other.coords)]))
 
     def __sub__(self, other: TowerElement) -> TowerElement:
         self._check_level(other)
-        return TowerElement(self.level, _sub(self.coords, other.coords))
+        return TowerElement(self.level, tuple([x - y for x, y in zip(self.coords, other.coords)]))
 
     def __neg__(self) -> TowerElement:
-        return TowerElement(self.level, _neg(self.coords))
+        return TowerElement(self.level, tuple([-x for x in self.coords]))
 
     def __repr__(self):
         inner = ", ".join(str(c) for c in self.coords)
@@ -199,7 +359,7 @@ class Tower:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "levels", tuple(_as_fractions(sq) for sq in self.levels)
+            self, "levels", tuple([_as_fractions(sq) for sq in self.levels])
         )
 
     @property
@@ -360,33 +520,53 @@ class Tower:
 
     # -- arithmetic --------------------------------------------------------
 
+    @cached_property
+    def _integral(self):
+        """(scales, squares): scales[j] is the product of the D_i over the
+        set bits of j, and squares[i-1] is s_i' = D_i^2*s_i, an int when
+        s_i is rational and an integer vector otherwise."""
+        scales, squares = [1], []
+        for sq in self.levels:
+            coords = [c / p for c, p in zip(sq, scales)]
+            d = math.lcm(*[c.denominator for c in coords])
+            ints = [int(c * d * d) for c in coords]
+            squares.append(ints if any(ints[1:]) else ints[0])
+            scales += [p * d for p in scales]
+        return scales, squares
+
     def _check_member(self, x: TowerElement):
         if x.level > self.depth:
             raise LevelMismatch(
                 f"element at level {x.level} exceeds tower depth {self.depth}"
             )
 
+    def _enter(self, x: TowerElement):
+        """x as (v, d): an integer vector in the rescaled basis over one
+        positive denominator."""
+        self._check_member(x)
+        dens = [c.denominator * p for c, p in zip(x.coords, self._integral[0])]
+        d = math.lcm(*dens)
+        return [c.numerator * (d // e) for c, e in zip(x.coords, dens)], d
+
+    def _leave(self, level: int, v, d: int) -> TowerElement:
+        scales = self._integral[0]
+        return TowerElement(level, tuple([Fraction(n * p, d) for n, p in zip(v, scales)]))
+
+    def _inverse(self, v, d, level):
+        """1/(v/d) as (vector, denominator)."""
+        if not any(v):
+            raise DivisionByZero("inverse of zero")
+        w, m = _inv(v, level, self._integral[1])
+        return [x * d for x in w], m
+
     def mul(self, x: TowerElement, y: TowerElement) -> TowerElement:
         """Exact product. Recursively: with x = a1 + b1*g, y = a2 + b2*g
         and s = g^2 one level down, the product is
-        (a1*a2 + s*b1*b2) + (a1*b2 + a2*b1)*g."""
-        self._check_member(x)
+        (a1*a2 + s*b1*b2) + ((a1 + b1)(a2 + b2) - a1*a2 - b1*b2)*g."""
+        a, da = self._enter(x)
         x._check_level(y)
-        return TowerElement(x.level, self._mul(x.coords, y.coords, x.level))
-
-    def _mul(self, a, b, k):
-        if k == 0:
-            return (a[0] * b[0],)
-        h = 1 << (k - 1)
-        a1, b1 = a[:h], a[h:]
-        a2, b2 = b[:h], b[h:]
-        s = self.levels[k - 1]
-        low = _add(
-            self._mul(a1, a2, k - 1),
-            self._mul(s, self._mul(b1, b2, k - 1), k - 1),
-        )
-        high = _add(self._mul(a1, b2, k - 1), self._mul(a2, b1, k - 1))
-        return low + high
+        b, db = self._enter(y)
+        return self._leave(x.level, _mul(a, b, x.level, self._integral[1]), da * db)
 
     def inv(self, x: TowerElement) -> TowerElement:
         """Exact multiplicative inverse via the conjugate: 1/(a + b*g) =
@@ -395,110 +575,47 @@ class Tower:
         N = 0 for nonzero x is impossible in a valid tower; hitting it
         raises InvalidTower.
         """
-        self._check_member(x)
-        if x.is_zero:
-            raise DivisionByZero("inverse of zero")
-        return TowerElement(x.level, self._inv(x.coords, x.level))
-
-    def _inv(self, a, k):
-        if k == 0:
-            return (1 / a[0],)
-        h = 1 << (k - 1)
-        sub, ext = a[:h], a[h:]
-        s = self.levels[k - 1]
-        norm = _sub(self._mul(sub, sub, k - 1), self._mul(s, self._mul(ext, ext, k - 1), k - 1))
-        if _is_zero(norm):
-            raise InvalidTower("norm of a nonzero element vanished")
-        ninv = self._inv(norm, k - 1)
-        return self._mul(sub, ninv, k - 1) + _neg(self._mul(ext, ninv, k - 1))
+        return self._leave(x.level, *self._inverse(*self._enter(x), x.level))
 
     def div(self, x: TowerElement, y: TowerElement) -> TowerElement:
         return self.mul(x, self.inv(y))
 
     def power(self, x: TowerElement, n: int) -> TowerElement:
-        """x^n by repeated multiplication; negative n inverts first."""
+        """x^n by square-and-multiply; negative n inverts first."""
         if n == 0:
             return self.one(x.level)
+        a, d = self._enter(x)
         if n < 0:
-            return self.power(self.inv(x), -n)
-        acc = x
-        for _ in range(n - 1):
-            acc = self.mul(acc, x)
-        return acc
+            a, d = self._inverse(a, d, x.level)
+            n = -n
+        squares = self._integral[1]
+        acc = a
+        for bit in bin(n)[3:]:
+            acc = _mul(acc, acc, x.level, squares)
+            if bit == "1":
+                acc = _mul(acc, a, x.level, squares)
+        return self._leave(x.level, acc, d**n)
 
     def exact_sign(self, x: TowerElement) -> int:
         """The sign (-1, 0, +1) of the real number x denotes, decided
         exactly. With x = a + b*g, g > 0: equal signs of a and b win
         outright; otherwise the part with the larger magnitude wins, and
-        a^2 versus s*b^2 is compared one level down."""
-        self._check_member(x)
-        return self._sign(x.coords, x.level)
-
-    def _sign(self, a, k):
-        if k == 0:
-            v = a[0]
-            return (v > 0) - (v < 0)
-        h = 1 << (k - 1)
-        sub, ext = a[:h], a[h:]
-        sign_ext = self._sign(ext, k - 1)
-        if sign_ext == 0:
-            return self._sign(sub, k - 1)
-        sign_sub = self._sign(sub, k - 1)
-        if sign_sub == 0 or sign_sub == sign_ext:
-            return sign_ext
-        s = self.levels[k - 1]
-        cmp = self._sign(
-            _sub(self._mul(sub, sub, k - 1), self._mul(s, self._mul(ext, ext, k - 1), k - 1)),
-            k - 1,
-        )
-        if cmp == 0:
-            raise InvalidTower("|a| = |b*g| with opposite signs: generator lies in the subfield")
-        return sign_sub if cmp > 0 else sign_ext
+        a^2 versus s*b^2 is compared one level down. Rescaled generators
+        stay positive, so the integer vector has the sign of x."""
+        return _sign(self._enter(x)[0], x.level, self._integral[1])
 
     def is_square(self, x: TowerElement) -> TowerElement | None:
         """A witness w with w*w = x exactly, or None when x is not a
         square at its level.
 
         For x = a + b*g with b != 0, any root c + d*g forces
-        c^2 = (a +- r)/2 with r^2 = a^2 - s*b^2 and d = b/(2c); both
-        branches are tried and every candidate is verified by squaring,
-        so a returned witness is sound unconditionally.
+        c^2 = (a +- r)/2 with r^2 = a^2 - s*b^2 and d = b/(2c); the +
+        branch is tried first, and the first branch with a nonzero c
+        gives the witness, a square root by the norm identity.
         """
-        self._check_member(x)
-        w = self._sqrt(x.coords, x.level)
-        return None if w is None else TowerElement(x.level, w)
-
-    def _sqrt(self, a, k):
-        if k == 0:
-            w = rational_square_root(a[0])
-            return None if w is None else (w,)
-        h = 1 << (k - 1)
-        sub, ext = a[:h], a[h:]
-        s = self.levels[k - 1]
-        zeros = (_ZERO,) * h
-        if _is_zero(ext):
-            # x = a: either c^2 = a, or x = (d*g)^2 with d^2 = a/s
-            w = self._sqrt(sub, k - 1)
-            if w is not None:
-                return w + zeros
-            d2 = self._mul(sub, self._inv(s, k - 1), k - 1)
-            d = self._sqrt(d2, k - 1)
-            if d is not None:
-                return zeros + d
-            return None
-        norm = _sub(self._mul(sub, sub, k - 1), self._mul(s, self._mul(ext, ext, k - 1), k - 1))
-        r = self._sqrt(norm, k - 1)
-        if r is None:
-            return None
-        for csq in (_scale(_add(sub, r), _HALF), _scale(_sub(sub, r), _HALF)):
-            c = self._sqrt(csq, k - 1)
-            if c is None or _is_zero(c):
-                continue
-            d = self._mul(ext, self._inv(_scale(c, 2), k - 1), k - 1)
-            w = c + d
-            if self._mul(w, w, k) == tuple(a):
-                return w
-        return None
+        a, d = self._enter(x)
+        root = _sqrt([c * d for c in a], x.level, self._integral[1])
+        return None if root is None else self._leave(x.level, root[0], root[1] * d)
 
     def member_of_level(self, x: TowerElement, j: int) -> TowerElement | None:
         """Project x down to level j if every extension part above j is

@@ -107,14 +107,16 @@ def test_rational_square_root_roundtrip():
 
 def test_rational_square_root_absent_means_absent():
     # brute-force oracle: p'/q' with p', q' small enough that w*w could
-    # equal q for |num|, den <= 10**4
+    # equal q for |num|, den <= 10**4; every square over that space is
+    # tabulated once, keeping the first root in scan order
+    roots = {}
+    for qq in range(1, 101):
+        for pp in range(0, 101):
+            w = Fraction(pp, qq)
+            roots.setdefault(w * w, w)
+
     def brute(q):
-        for qq in range(1, 101):
-            for pp in range(0, 101):
-                w = Fraction(pp, qq)
-                if w * w == q:
-                    return w
-        return None
+        return roots.get(q)
 
     rng = random.Random(11)
     cases = [Fraction(n, d) for n in range(1, 30) for d in range(1, 30)]

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -206,6 +207,19 @@ def test_eval_matches_tower_ops():
         if not b.is_zero:
             assert eval_expr(parse_expr("a / b"), t, env) == t.div(a, b)
 
+
+
+def test_eval_leaves_no_reference_cycle():
+    # a cycle would keep the tower and the bindings alive until the next
+    # full collection
+    node = parse_expr("sqrt(2)*(g1 - 1)^3 / (1 + a)")
+    gc.collect()
+    gc.disable()
+    try:
+        eval_expr(node, Q_SQRT2, {"a": TowerElement(1, (Fraction(3), Fraction(0)))})
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 # -- formatting round trip -------------------------------------------------------
 

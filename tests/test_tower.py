@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from helpers import random_element, random_tower
+from helpers import random_element, random_tower, ref_mul, ref_sign
 from qtower.errors import (
     DivisionByZero,
     InvalidTower,
@@ -481,6 +481,90 @@ def test_numeric_consistency():
             assert abs(t.approx(x + y, 113) - (ax + ay)) < 1e-25 * (1 + abs(ax) + abs(ay))
             assert abs(t.approx(t.mul(x, y), 113) - ax * ay) < 1e-24 * (1 + abs(ax)) * (1 + abs(ay))
             assert abs(t.approx(t.inv(x), 113) - 1 / ax) < 1e-20 * (1 + 1 / abs(ax))
+
+
+# -- integer kernel against the schoolbook reference ---------------------------
+
+# Non-integral rational squares exercise the generator rescaling. Their
+# squarefree parts 2, 3, 5, 14, 66 are multiplicatively independent, so every
+# prefix is a proper tower.
+RATIONAL_SQUARES = tuple(Fraction(s) for s in ("2/9", "3/4", "5/49", "7/2", "11/6"))
+
+
+def integral_tower(rng, depth):
+    """A random nested tower whose squares have integer coordinates."""
+    t = Tower()
+    while t.depth < depth:
+        cand = TowerElement(t.depth, tuple(rng.randint(-9, 9) for _ in range(1 << t.depth)))
+        if cand.is_zero:
+            continue
+        if t.exact_sign(cand) < 0:
+            cand = -cand
+        if t.is_square(cand) is None:
+            t = t.adjoin_sqrt(cand)
+    return t
+
+
+def kernel_tower(kind, rng, depth):
+    if kind == "integral":
+        return integral_tower(rng, depth)
+    if kind == "nested":
+        return random_tower(rng, depth)
+    t = Tower()
+    for s in RATIONAL_SQUARES[:depth]:
+        t = t.adjoin_sqrt(s)
+    return t
+
+
+def kernel_operands(rng, depth):
+    """Random pairs, pairs with an all-zero subfield or extension half, and
+    a pair with 200-bit integer coordinates."""
+    h = 1 << (depth - 1)
+    zero = (Fraction(0),) * h
+    for _ in range(3):
+        yield random_element(rng, depth, bound=20), random_element(rng, depth, bound=20)
+    x, y = random_element(rng, depth), random_element(rng, depth)
+    yield TowerElement(depth, x.coords[:h] + zero), TowerElement(depth, zero + y.coords[h:])
+    yield TowerElement(depth, zero + x.coords[h:]), TowerElement(depth, y.coords[:h] + zero)
+    def big():
+        return TowerElement(depth, tuple(rng.randint(-2**200, 2**200) for _ in range(2 * h)))
+
+    yield big(), big()
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["integral", "nested", "rational"])
+def test_kernel_matches_schoolbook(kind, depth):
+    rng = random.Random(f"{kind}-{depth}")
+    t = kernel_tower(kind, rng, depth)
+    levels = t.levels
+    g = t.generator(depth)
+    for x, y in kernel_operands(rng, depth):
+        assert t.mul(x, y).coords == ref_mul(levels, x.coords, y.coords)
+        assert t.exact_sign(x) == ref_sign(levels, x.coords)
+        assert t.exact_sign(y) == ref_sign(levels, y.coords)
+        if x.is_zero:
+            continue
+        assert ref_mul(levels, x.coords, t.inv(x).coords) == t.one().coords
+        square = TowerElement(depth, ref_mul(levels, x.coords, x.coords))
+        w = t.is_square(square)
+        assert w is not None
+        assert ref_mul(levels, w.coords, w.coords) == square.coords
+        # g is no square (c^2 + s*d^2 = 0 has no real solution), so neither
+        # is x^2*g; and -x^2 < 0
+        assert t.is_square(TowerElement(depth, ref_mul(levels, square.coords, g.coords))) is None
+        assert t.is_square(-square) is None
+
+
+def test_is_square_with_fractional_inner_roots():
+    # s1 = 18 is not squarefree, so roots of integer vectors can carry
+    # denominators; here the level-2 root found on the way down does
+    t = Tower(((Fraction(18),), (Fraction(-5), Fraction(8)), tuple(map(Fraction, (-4, 9, 6, 4)))))
+    assert t.validate()
+    x = elt(3, 5, Fraction(5, 3), -2, Fraction(-4, 3), 1, 3, -1, 1)
+    square = TowerElement(3, ref_mul(t.levels, x.coords, x.coords))
+    w = t.is_square(square)
+    assert w in (x, -x)
 
 
 # -- text formats --------------------------------------------------------------
