@@ -13,11 +13,9 @@ from .errors import (
     TowerFormatError,
 )
 from .exactnum import (
-    BigRational,
     divisors,
     format_rational,
     parse_rational,
-    rat_arith,
     rational_square_root,
 )
 from .parser import eval_expr, format_expr, parse_expr, parse_poly, tokenize
@@ -33,10 +31,8 @@ from .poly import (
     rrt_candidates,
 )
 from .tower import (
-    BasisDescriptor,
     Tower,
     TowerElement,
-    ValidationReport,
     dumps_tower,
     format_element_text,
     load_tower,

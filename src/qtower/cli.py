@@ -100,13 +100,6 @@ def _split_bracket(rest: str, usage: str):
     return rest[: close + 1], rest[close + 1 :].strip()
 
 
-def _checked(tower: Tower) -> Tower:
-    report = tower.validate()
-    if not report.ok:
-        raise CommandError(f"{type(report.error).__name__}: {report.message}")
-    return tower
-
-
 def _rationals_str(values) -> str:
     return ", ".join(str(v) for v in values)
 
@@ -122,7 +115,7 @@ def _dispatch(session: Session, line: str) -> tuple[Session, str]:
         if not rest:
             raise CommandError("usage: adjoin <expr>")
         square = _eval(session, rest)
-        tower = _checked(session.tower.adjoin_sqrt(square))
+        tower = session.tower.adjoin_sqrt(square)
         k = tower.depth
         return (
             replace(session, tower=tower),
@@ -139,7 +132,6 @@ def _dispatch(session: Session, line: str) -> tuple[Session, str]:
             raise CommandError(f"usage: {usage}")
         coeffs = tuple(_eval(session, e) for e in entries)
         tower, root = session.tower.adjoin_quadratic_root(coeffs, branch)
-        tower = _checked(tower)
         bindings = dict(session.bindings)
         bindings["last"] = root
         new = replace(session, tower=tower, bindings=bindings)
@@ -214,7 +206,7 @@ def _dispatch(session: Session, line: str) -> tuple[Session, str]:
     if word == "load":
         if not rest:
             raise CommandError("usage: load <path>")
-        tower = _checked(load_tower(rest))
+        tower = load_tower(rest)
         return replace(session, tower=tower, bindings={}), f"loaded {rest}: depth {tower.depth}"
 
     if word == "set":

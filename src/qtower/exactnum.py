@@ -1,9 +1,8 @@
 """Exact rational scalars and the number-theoretic helpers built on them.
 
 Rationals are `fractions.Fraction` values: arbitrary precision, always in
-lowest terms with a positive denominator, zero canonically 0/1. The alias
-`BigRational` names that role. Text form is `p` or `p/q` with an optional
-leading minus and a positive denominator.
+lowest terms with a positive denominator, zero canonically 0/1. Text form
+is `p` or `p/q` with an optional leading minus and a positive denominator.
 """
 
 from __future__ import annotations
@@ -12,30 +11,7 @@ import math
 import re
 from fractions import Fraction
 
-from .errors import DivisionByZero
-
-BigRational = Fraction
-
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
-
-
-def rat_arith(a: Fraction, b: Fraction, op: str) -> Fraction:
-    """Apply one of {add, sub, mul, div} to two rationals, exactly.
-
-    Division by zero raises DivisionByZero; there is no 0/0 = 0 convention
-    anywhere in this package.
-    """
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b == 0:
-            raise DivisionByZero(f"{a} / 0")
-        return a / b
-    raise ValueError(f"unknown rational operation {op!r}")
 
 
 def divisors(n: int) -> list[int]:
@@ -55,14 +31,6 @@ def divisors(n: int) -> list[int]:
                 large.append(n // d)
         d += 1
     return small + large[::-1]
-
-
-def is_perfect_square(n: int) -> bool:
-    """Whether the integer n is a perfect square (exact isqrt + check)."""
-    if n < 0:
-        return False
-    r = math.isqrt(n)
-    return r * r == n
 
 
 def rational_square_root(q: Fraction) -> Fraction | None:

@@ -3,7 +3,8 @@
 A tower is a chain Q = K0 < K1 < ... < Kn where each level adjoins the
 positive square root g_i of some positive non-square element s_i of the
 level below. The tower stores, for each level i, the 2^(i-1) coordinates
-of s_i = g_i^2 in the level-(i-1) basis.
+of s_i = g_i^2 in the level-(i-1) basis, and constructing a tower checks
+that its levels form such a chain.
 
 Elements of level k are vectors of 2^k rationals over the all-products
 basis: coordinate j multiplies the product of the generators g_i selected
@@ -314,53 +315,47 @@ def _brief(x: TowerElement) -> str:
 
 
 @dataclass(frozen=True)
-class BasisDescriptor:
-    """The all-products basis of a level: mask j is the product of the
-    generators on the set bits of j, in ascending numeric order."""
-
-    masks: tuple[int, ...]
-
-    def __len__(self):
-        return len(self.masks)
-
-    def label(self, j: int) -> str:
-        mask = self.masks[j]
-        if mask == 0:
-            return "1"
-        parts = [f"g{i + 1}" for i in range(mask.bit_length()) if mask >> i & 1]
-        return "*".join(parts)
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    level: int | None = None
-    error: Exception | None = None
-
-    def __bool__(self):
-        return self.ok
-
-    @property
-    def message(self) -> str:
-        if self.ok:
-            return "valid tower"
-        return f"level {self.level}: {type(self.error).__name__}: {self.error}"
-
-
-@dataclass(frozen=True)
 class Tower:
     """An ordered chain of quadratic extension levels over Q.
 
     `levels[i-1]` holds the coordinates, in the level-(i-1) basis, of the
     square of generator g_i. An empty tuple of levels is Q itself.
+
+    Construction validates every level in order, so no invalid tower
+    exists: square i needs 2^(i-1) coordinates (InvalidTower), must be
+    positive (NonRealExtension) and must not be a square in level i-1
+    (NotAProperExtension, carrying the witness). The error names the
+    first failing level: `level i: <ErrorClass>: <message>`.
     """
 
     levels: tuple[tuple[Fraction, ...], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "levels", tuple([_as_fractions(sq) for sq in self.levels])
-        )
+        levels = tuple([_as_fractions(sq) for sq in self.levels])
+        object.__setattr__(self, "levels", levels)
+        prefix = Tower._trusted(())
+        for i, sq in enumerate(levels, start=1):
+            try:
+                if len(sq) != 1 << (i - 1):
+                    raise InvalidTower(
+                        f"level {i}: expected {1 << (i - 1)} square coordinates, "
+                        f"got {len(sq)}"
+                    )
+                prefix = prefix.adjoin_sqrt(TowerElement(i - 1, sq))
+            except (InvalidTower, NonRealExtension, NotAProperExtension) as exc:
+                message = f"level {i}: {type(exc).__name__}: {exc}"
+                if isinstance(exc, NotAProperExtension):
+                    raise NotAProperExtension(message, witness=exc.witness) from None
+                raise type(exc)(message) from None
+
+    @classmethod
+    def _trusted(cls, levels) -> Tower:
+        """The tower over `levels`, a tuple of Fraction tuples, built
+        without validation: only for chains already proven level by level,
+        as adjoin_sqrt and adjoin_quadratic_root prove their new square."""
+        tower = object.__new__(cls)
+        object.__setattr__(tower, "levels", levels)
+        return tower
 
     @property
     def depth(self) -> int:
@@ -388,11 +383,6 @@ class Tower:
         coords[1 << (i - 1)] = Fraction(1)
         return TowerElement(i, tuple(coords))
 
-    def all_products(self, k: int) -> BasisDescriptor:
-        if not 0 <= k <= self.depth:
-            raise LevelMismatch(f"level {k} out of range 0..{self.depth}")
-        return BasisDescriptor(tuple(range(1 << k)))
-
     def embed(self, q, level: int | None = None) -> TowerElement:
         """The rational q as an element of the given level (default: top)."""
         level = self.depth if level is None else level
@@ -418,9 +408,7 @@ class Tower:
             raise LevelMismatch(
                 f"cannot lift level {x.level} to level {level} (depth {self.depth})"
             )
-        while x.level < level:
-            x = self.lift(x)
-        return x
+        return TowerElement(level, x.coords + (_ZERO,) * ((1 << level) - len(x.coords)))
 
     def _as_top(self, s) -> TowerElement:
         if isinstance(s, TowerElement):
@@ -452,7 +440,7 @@ class Tower:
             raise NotAProperExtension(
                 f"{_brief(s)} is a square (witness {_brief(w)})", witness=w
             )
-        return Tower(self.levels + (s.coords,))
+        return Tower._trusted(self.levels + (s.coords,))
 
     def adjoin_quadratic_root(self, coeffs, branch: str) -> tuple[Tower, TowerElement]:
         """Extend by a root of c0 + c1*x + c2*x^2 with coefficients in the
@@ -485,7 +473,7 @@ class Tower:
                 f"quadratic splits in the current field (root {_brief(root)})",
                 witness=root,
             )
-        ext = Tower(self.levels + (e.coords,))
+        ext = Tower._trusted(self.levels + (e.coords,))
         g = ext.generator(ext.depth)
         root = ext.lift(shift) + g if branch == "+" else ext.lift(shift) - g
         # Horner check; by construction this is exact, so a failure means
@@ -496,27 +484,6 @@ class Tower:
         if not acc.is_zero:
             raise InvalidTower("completed-square root fails to satisfy the quadratic")
         return ext, root
-
-    def validate(self) -> ValidationReport:
-        """Check every level: coordinate count, positive square, proper
-        extension. Reports the first failing level."""
-        prefix = Tower(())
-        for i, sq in enumerate(self.levels, start=1):
-            expected = 1 << (i - 1)
-            if len(sq) != expected:
-                return ValidationReport(
-                    False,
-                    i,
-                    InvalidTower(
-                        f"level {i}: expected {expected} square coordinates, "
-                        f"got {len(sq)}"
-                    ),
-                )
-            try:
-                prefix = prefix.adjoin_sqrt(TowerElement(i - 1, sq))
-            except (NonRealExtension, NotAProperExtension) as exc:
-                return ValidationReport(False, i, exc)
-        return ValidationReport(True)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -623,12 +590,9 @@ class Tower:
         self._check_member(x)
         if not 0 <= j <= x.level:
             raise LevelMismatch(f"target level {j} out of range 0..{x.level}")
-        cur = x
-        while cur.level > j:
-            if not cur.extension_part().is_zero:
-                return None
-            cur = cur.subfield_part()
-        return cur
+        if not _is_zero(x.coords[1 << j:]):
+            return None
+        return TowerElement(j, x.coords[: 1 << j])
 
     def approx(self, x: TowerElement, precision: int = 113):
         """Binary floating approximation of x at the given working
@@ -680,7 +644,7 @@ def dumps_tower(tower: Tower) -> str:
 def loads_tower(text: str) -> Tower:
     """Parse and validate a tower file. Structural problems raise
     TowerFormatError; a well-formed file describing an invalid tower
-    raises the validation error (e.g. NotAProperExtension)."""
+    raises the error Tower construction raises (e.g. NotAProperExtension)."""
     lines = []
     for raw in text.splitlines():
         stripped = raw.split("#", 1)[0].strip()
@@ -709,14 +673,7 @@ def loads_tower(text: str) -> Tower:
         except ValueError as exc:
             raise TowerFormatError(f"square {i}: {exc}") from None
         squares.append(tuple(coords))
-    tower = Tower(tuple(squares))
-    report = tower.validate()
-    if not report.ok:
-        err = report.error
-        if isinstance(err, NotAProperExtension):
-            raise NotAProperExtension(report.message, witness=err.witness)
-        raise type(err)(report.message)
-    return tower
+    return Tower(tuple(squares))
 
 
 def save_tower(tower: Tower, path) -> None:

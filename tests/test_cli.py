@@ -195,6 +195,27 @@ def test_execute_load_invalid(tmp_path):
     assert "NotAProperExtension" in str(info.value)
 
 
+def test_adjoin_and_load_validate_each_level_once(tmp_path, monkeypatch):
+    calls = []
+    adjoin_sqrt = Tower.adjoin_sqrt
+
+    def counted(tower, square):
+        calls.append(square)
+        return adjoin_sqrt(tower, square)
+
+    monkeypatch.setattr(Tower, "adjoin_sqrt", counted)
+    s = Session()
+    for square in ("2", "3", "5"):
+        s, _ = execute(s, f"adjoin {square}")
+    assert len(calls) == 3
+    path = tmp_path / "t.qt"
+    execute(s, f"save {path}")
+    calls.clear()
+    loaded, _ = execute(Session(), f"load {path}")
+    assert loaded.tower == s.tower
+    assert len(calls) == 3
+
+
 def test_execute_errors_and_noise():
     s = Session()
     with pytest.raises(CommandError) as info:

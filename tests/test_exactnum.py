@@ -1,58 +1,18 @@
-import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from qtower.errors import DivisionByZero
 from qtower.exactnum import (
     divisors,
     format_rational,
-    is_perfect_square,
     parse_rational,
-    rat_arith,
     rational_square_root,
 )
 
 
 def brute_divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def test_rat_arith_examples():
-    assert rat_arith(Fraction(1, 2), Fraction(1, 3), "add") == Fraction(5, 6)
-    assert rat_arith(Fraction(0), Fraction(7, 3), "mul") == 0
-    # oracle: r = a/b iff r*b == a (cross-multiplication)
-    r = rat_arith(Fraction(-16, 23), Fraction(17, 23), "div")
-    assert r == Fraction(-16, 17)
-    assert r * Fraction(17, 23) == Fraction(-16, 23)
-
-
-def test_rat_arith_sub():
-    assert rat_arith(Fraction(1, 2), Fraction(1, 3), "sub") == Fraction(1, 6)
-
-
-def test_rat_arith_div_by_zero():
-    with pytest.raises(DivisionByZero):
-        rat_arith(Fraction(1), Fraction(0), "div")
-
-
-def test_rat_arith_unknown_op():
-    with pytest.raises(ValueError):
-        rat_arith(Fraction(1), Fraction(1), "pow")
-
-
-def test_rat_arith_results_canonical():
-    rng = random.Random(20260808)
-    for _ in range(300):
-        a = Fraction(rng.randint(-100, 100), rng.randint(1, 100))
-        b = Fraction(rng.randint(-100, 100), rng.randint(1, 100))
-        for op in ("add", "sub", "mul", "div"):
-            if op == "div" and b == 0:
-                continue
-            r = rat_arith(a, b, op)
-            assert r.denominator > 0
-            assert math.gcd(abs(r.numerator), r.denominator) == 1
 
 
 def test_divisors_examples():
@@ -74,15 +34,6 @@ def test_divisors_against_brute_force():
     # spot-check larger arguments against full trial division
     for n in (360360, 999983):
         assert divisors(n) == brute_divisors(n)
-
-
-def test_is_perfect_square():
-    squares = {k * k for k in range(100)}
-    for n in range(2000):
-        assert is_perfect_square(n) == (n in squares)
-    assert not is_perfect_square(-4)
-    assert is_perfect_square(10**20)
-    assert not is_perfect_square(10**20 + 1)
 
 
 def test_rational_square_root_examples():

@@ -93,19 +93,6 @@ def test_conjugate():
 # -- basis -------------------------------------------------------------------
 
 
-def test_all_products_masks():
-    t = random_tower(random.Random(1), 3)
-    basis = t.all_products(3)
-    assert basis.masks == tuple(range(8))
-    assert basis.label(0) == "1"
-    assert basis.label(3) == "g1*g2"
-    assert basis.label(7) == "g1*g2*g3"
-    assert len(t.all_products(0)) == 1
-    assert Q_SQRT2.all_products(1).masks == (0, 1)
-    with pytest.raises(LevelMismatch):
-        Q.all_products(1)
-
-
 def test_all_products_layout_sqrt5_sqrt3_sqrt2():
     # adjoin sqrt5, then sqrt3, then sqrt2: the depth-3 basis must read
     # 1, sqrt5, sqrt3, sqrt15, sqrt2, sqrt10, sqrt6, sqrt30 in that order
@@ -208,30 +195,54 @@ def test_adjoin_quadratic_root_errors():
 
 def test_validate_examples():
     good = Tower(((Fraction(2),), (Fraction(3), Fraction(1))))
-    report = good.validate()
-    assert report.ok and bool(report)
-    assert report.message == "valid tower"
+    assert good.depth == 2
 
-    bad = Tower(((Fraction(4),),))
-    report = bad.validate()
-    assert not report.ok
-    assert report.level == 1
-    assert isinstance(report.error, NotAProperExtension)
+    with pytest.raises(NotAProperExtension) as info:
+        Tower(((Fraction(4),),))
+    assert str(info.value).startswith("level 1: NotAProperExtension: ")
+    assert info.value.witness == Q.embed(2)
 
-    assert Q.validate().ok
+    assert Tower(()) == Q
 
 
 def test_validate_negative_square():
-    report = Tower(((Fraction(-2),),)).validate()
-    assert not report.ok
-    assert isinstance(report.error, NonRealExtension)
+    with pytest.raises(NonRealExtension) as info:
+        Tower(((Fraction(-2),),))
+    assert str(info.value).startswith("level 1: NonRealExtension: ")
 
 
 def test_validate_bad_length():
-    report = Tower(((Fraction(2),), (Fraction(3),))).validate()
-    assert not report.ok
-    assert report.level == 2
-    assert isinstance(report.error, InvalidTower)
+    with pytest.raises(InvalidTower) as info:
+        Tower(((Fraction(2),), (Fraction(3),)))
+    assert str(info.value) == (
+        "level 2: InvalidTower: level 2: expected 2 square coordinates, got 1"
+    )
+
+
+def test_invalid_tower_cannot_be_built():
+    # sqrt(-1) is not real: no exact sign or square witness may be given over it
+    with pytest.raises(NonRealExtension):
+        Tower(((-1,),))
+    # construction raises what loading the same levels from a file raises
+    cases = [
+        (((4,),), NotAProperExtension),
+        (((-2,),), NonRealExtension),
+        (((2,), (3,)), InvalidTower),
+        (((2,), (8, 0)), NotAProperExtension),
+        (((2,), (-3, 1)), NonRealExtension),
+    ]
+    for levels, error in cases:
+        text = f"QTOWER 1\nlevels {len(levels)}\n" + "".join(
+            f"square {i}: " + " ".join(map(str, sq)) + "\n"
+            for i, sq in enumerate(levels, start=1)
+        )
+        with pytest.raises(error) as loaded:
+            loads_tower(text)
+        with pytest.raises(error) as built:
+            Tower(levels)
+        assert type(built.value) is type(loaded.value)
+        assert str(built.value) == str(loaded.value)
+        assert getattr(built.value, "witness", None) == getattr(loaded.value, "witness", None)
 
 
 # -- embed / lift ----------------------------------------------------------------
@@ -560,7 +571,6 @@ def test_is_square_with_fractional_inner_roots():
     # s1 = 18 is not squarefree, so roots of integer vectors can carry
     # denominators; here the level-2 root found on the way down does
     t = Tower(((Fraction(18),), (Fraction(-5), Fraction(8)), tuple(map(Fraction, (-4, 9, 6, 4)))))
-    assert t.validate()
     x = elt(3, 5, Fraction(5, 3), -2, Fraction(-4, 3), 1, 3, -1, 1)
     square = TowerElement(3, ref_mul(t.levels, x.coords, x.coords))
     w = t.is_square(square)
