@@ -12,12 +12,7 @@ from .errors import (
     QTowerError,
     TowerFormatError,
 )
-from .exactnum import (
-    divisors,
-    format_rational,
-    parse_rational,
-    rational_square_root,
-)
+from .exactnum import divisors, format_rational, parse_rational
 from .parser import eval_expr, format_expr, parse_expr, parse_poly, tokenize
 from .poly import (
     Outcome,
@@ -34,10 +29,8 @@ from .tower import (
     Tower,
     TowerElement,
     dumps_tower,
-    format_element_text,
     load_tower,
     loads_tower,
-    parse_element_text,
     save_tower,
 )
 

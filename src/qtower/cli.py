@@ -58,21 +58,11 @@ class Session:
 
 
 def _format_decimal(value) -> str:
-    """15 significant digits, deterministic, trailing zeros kept."""
+    """15 significant digits, deterministic, trailing zeros kept: mpmath
+    rounds the mantissa to exactly 15 digits and always writes a '.'."""
     if value == 0:
         return "0.000000000000000"
-    text = mpmath.nstr(value, 15, strip_zeros=False)
-    mantissa, sep, exponent = text.partition("e")
-    sign = "-" if mantissa.startswith("-") else ""
-    digits = mantissa.lstrip("-")
-    if "." not in digits:
-        digits += "."
-    int_part, frac = digits.split(".")
-    significant = (int_part + frac).lstrip("0")
-    missing = 15 - len(significant)
-    if missing > 0:
-        frac += "0" * missing
-    return sign + int_part + "." + frac + (("e" + exponent) if sep else "")
+    return mpmath.nstr(value, 15, strip_zeros=False)
 
 
 def _coords_str(x: TowerElement) -> str:
@@ -151,11 +141,9 @@ def _dispatch(session: Session, line: str) -> tuple[Session, str]:
     if word == "is-square":
         if not rest:
             raise CommandError("usage: is-square <expr>")
-        witness = session.tower.is_square(_eval(session, rest))
+        witness = session.tower.sqrt(_eval(session, rest))
         if witness is None:
             return session, "not a square in the current tower"
-        if session.tower.exact_sign(witness) < 0:
-            witness = -witness
         return session, f"square; witness {format_element(witness, session)}"
 
     if word == "member":

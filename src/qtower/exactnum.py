@@ -7,7 +7,6 @@ is `p` or `p/q` with an optional leading minus and a positive denominator.
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 
@@ -31,26 +30,6 @@ def divisors(n: int) -> list[int]:
                 large.append(n // d)
         d += 1
     return small + large[::-1]
-
-
-def rational_square_root(q: Fraction) -> Fraction | None:
-    """The exact nonnegative square root of q, or None if q is not a
-    square in the rationals.
-
-    q = n/d in lowest terms is a rational square iff q >= 0 and both n and
-    d are perfect squares; then sqrt(q) = isqrt(n)/isqrt(d) exactly.
-    """
-    q = Fraction(q)
-    if q < 0:
-        return None
-    num, den = q.numerator, q.denominator
-    rn = math.isqrt(num)
-    if rn * rn != num:
-        return None
-    rd = math.isqrt(den)
-    if rd * rd != den:
-        return None
-    return Fraction(rn, rd)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -9,9 +9,11 @@ Grammar (whitespace insensitive, offsets are 0-based characters):
             | name
 
 Left associative throughout; unary minus binds tighter than '*' and '/'
-but looser than '^', so -2^2 is -(2^2). Rationals are unsigned `p` or
-`p/q` tokens; a leading '-' is always the operator. Names resolve against
-REPL bindings at evaluation time; parsing never consults tower state.
+but looser than '^', so -2^2 is -(2^2). Trees deeper than MAX_DEPTH
+levels, a parenthesized group counting as one, are refused. Rationals are
+unsigned `p` or `p/q` tokens; a leading '-' is always the operator. Names
+resolve against REPL bindings at evaluation time; parsing never consults
+tower state.
 
 Polynomial literals are `[c0, c1, ..., cd]` with rational entries,
 constant term first.
@@ -28,6 +30,7 @@ from .poly import Polynomial
 from .tower import Tower, TowerElement
 
 MAX_EXPONENT = 64
+MAX_DEPTH = 100  # expression tree levels, a parenthesized group counting as one
 
 _TOKEN_CHARS = {
     "+": "PLUS",
@@ -109,8 +112,8 @@ def tokenize(text: str) -> list[Token]:
             tokens.append(Token(_TOKEN_CHARS[c], c, i))
             i += 1
             continue
-        if c.isdigit():
-            m = _RAT_RE.match(text, i)
+        m = _RAT_RE.match(text, i)
+        if m:
             raw = m.group(0)
             num, _, den = raw.partition("/")
             if den and int(den) == 0:
@@ -168,29 +171,44 @@ class _Parser:
                 expected=("end of input",),
             )
 
-    def expr(self):
-        node = self.term()
+    # Each rule parses a subtree whose root sits below `depth` levels and
+    # returns it with its reach, the deepest level in it. Parsing and
+    # evaluation recurse once per level, so a reach past MAX_DEPTH is refused.
+
+    def bounded(self, reach: int, tok: Token) -> int:
+        if reach > MAX_DEPTH:
+            raise ParseError(f"expression deeper than {MAX_DEPTH} levels", tok.pos)
+        return reach
+
+    def expr(self, depth):
+        node, reach = self.term(depth)
         while self.peek().kind in ("PLUS", "MINUS"):
             op = self.advance()
-            node = BinOp("+" if op.kind == "PLUS" else "-", node, self.term())
-        return node
+            right, right_reach = self.term(depth)
+            node = BinOp("+" if op.kind == "PLUS" else "-", node, right)
+            reach = self.bounded(max(reach, right_reach) + 1, op)
+        return node, reach
 
-    def term(self):
-        node = self.factor()
+    def term(self, depth):
+        node, reach = self.factor(depth)
         while self.peek().kind in ("STAR", "SLASH"):
             op = self.advance()
-            node = BinOp("*" if op.kind == "STAR" else "/", node, self.factor())
-        return node
+            right, right_reach = self.factor(depth)
+            node = BinOp("*" if op.kind == "STAR" else "/", node, right)
+            reach = self.bounded(max(reach, right_reach) + 1, op)
+        return node, reach
 
-    def factor(self):
+    def factor(self, depth):
+        self.bounded(depth + 1, self.peek())
         if self.peek().kind == "MINUS":
             self.advance()
-            return Neg(self.factor())
-        node = self.atom()
+            node, reach = self.factor(depth + 1)
+            return Neg(node), reach
+        node, reach = self.atom(depth)
         if self.peek().kind == "CARET":
-            self.advance()
+            reach = self.bounded(reach + 1, self.advance())
             node = Pow(node, self.exponent())
-        return node
+        return node, reach
 
     def exponent(self) -> int:
         negative = False
@@ -205,28 +223,28 @@ class _Parser:
             raise ParseError(f"exponent exceeds {MAX_EXPONENT}", tok.pos)
         return -e if negative else e
 
-    def atom(self):
+    def atom(self, depth):
         tok = self.peek()
         if tok.kind == "RAT":
             self.advance()
-            return RationalLiteral(tok.value)
+            return RationalLiteral(tok.value), depth + 1
         if tok.kind == "GEN":
             self.advance()
-            return GeneratorRef(tok.value)
+            return GeneratorRef(tok.value), depth + 1
         if tok.kind == "NAME":
             self.advance()
-            return Name(tok.value)
+            return Name(tok.value), depth + 1
         if tok.kind == "SQRT":
             self.advance()
             self.expect("LPAREN", "'(' after sqrt")
-            inner = self.expr()
+            inner, reach = self.expr(depth + 1)
             self.expect("RPAREN", "')'")
-            return Sqrt(inner)
+            return Sqrt(inner), reach
         if tok.kind == "LPAREN":
             self.advance()
-            inner = self.expr()
+            inner, reach = self.expr(depth + 1)
             self.expect("RPAREN", "')'")
-            return inner
+            return inner, reach
         raise ParseError(
             f"expected an atom, got {tok.text or 'end of input'!r}",
             tok.pos,
@@ -239,7 +257,7 @@ def parse_expr(source):
     input must be consumed."""
     tokens = tokenize(source) if isinstance(source, str) else list(source)
     parser = _Parser(tokens)
-    node = parser.expr()
+    node = parser.expr(0)[0]
     parser.finish()
     return node
 
@@ -273,55 +291,44 @@ def _poly_entry(parser: _Parser) -> Fraction:
 def eval_expr(node, tower: Tower, bindings=None) -> TowerElement:
     """Evaluate an expression tree to an element of the tower's top level.
 
-    sqrt(e) requires e to already be a square in the tower (the witness
-    with nonnegative sign is returned); it never extends the tower.
+    sqrt(e) requires e to already be a square in the tower and is its
+    nonnegative root; it never extends the tower.
     """
-    depth = tower.depth
-
-    def ev(n):
-        if isinstance(n, RationalLiteral):
-            return tower.embed(n.value)
-        if isinstance(n, GeneratorRef):
-            if not 1 <= n.index <= depth:
-                raise LevelMismatch(
-                    f"g{n.index} does not exist (tower depth {depth})"
-                )
-            return tower.lift_to(tower.generator(n.index), depth)
-        if isinstance(n, Name):
-            if bindings is None or n.name not in bindings:
-                raise ValueError(f"unknown name {n.name!r}")
-            bound = bindings[n.name]
-            return tower.lift_to(bound, depth)
-        if isinstance(n, Sqrt):
-            value = ev(n.child)
-            witness = tower.is_square(value)
-            if witness is None:
-                raise NotASquareInTower(
-                    "not a square in the current tower; "
-                    "use 'adjoin' to extend the tower first"
-                )
-            return -witness if tower.exact_sign(witness) < 0 else witness
-        if isinstance(n, Neg):
-            return -ev(n.child)
-        if isinstance(n, Pow):
-            return tower.power(ev(n.child), n.exponent)
-        if isinstance(n, BinOp):
-            left, right = ev(n.left), ev(n.right)
-            if n.op == "+":
-                return left + right
-            if n.op == "-":
-                return left - right
-            if n.op == "*":
-                return tower.mul(left, right)
-            return tower.div(left, right)
-        raise TypeError(f"not an expression node: {n!r}")
-
-    try:
-        return ev(node)
-    finally:
-        # ev refers to itself through its closure; dropping the name frees it
-        # and the tower it holds now, not at the next full garbage collection
-        del ev
+    if isinstance(node, RationalLiteral):
+        return tower.embed(node.value)
+    if isinstance(node, GeneratorRef):
+        if not 1 <= node.index <= tower.depth:
+            raise LevelMismatch(
+                f"g{node.index} does not exist (tower depth {tower.depth})"
+            )
+        return tower.lift_to(tower.generator(node.index), tower.depth)
+    if isinstance(node, Name):
+        if bindings is None or node.name not in bindings:
+            raise ValueError(f"unknown name {node.name!r}")
+        return tower.lift_to(bindings[node.name], tower.depth)
+    if isinstance(node, Sqrt):
+        root = tower.sqrt(eval_expr(node.child, tower, bindings))
+        if root is None:
+            raise NotASquareInTower(
+                "not a square in the current tower; "
+                "use 'adjoin' to extend the tower first"
+            )
+        return root
+    if isinstance(node, Neg):
+        return -eval_expr(node.child, tower, bindings)
+    if isinstance(node, Pow):
+        return tower.power(eval_expr(node.child, tower, bindings), node.exponent)
+    if isinstance(node, BinOp):
+        left = eval_expr(node.left, tower, bindings)
+        right = eval_expr(node.right, tower, bindings)
+        if node.op == "+":
+            return left + right
+        if node.op == "-":
+            return left - right
+        if node.op == "*":
+            return tower.mul(left, right)
+        return tower.div(left, right)
+    raise TypeError(f"not an expression node: {node!r}")
 
 
 _PRECEDENCE_ATOM = 5

@@ -65,10 +65,6 @@ def _as_fractions(coords) -> tuple[Fraction, ...]:
     return tuple([c if type(c) is Fraction else Fraction(c) for c in coords])
 
 
-def _is_zero(a):
-    return all(x == 0 for x in a)
-
-
 # -- the integer kernel -------------------------------------------------------
 #
 # A level-k vector is a list of 2^k ints in the rescaled basis; `squares`
@@ -245,12 +241,12 @@ class TowerElement:
 
     @property
     def is_zero(self) -> bool:
-        return _is_zero(self.coords)
+        return not any(self.coords)
 
     @property
     def is_rational(self) -> bool:
         """True when all coordinates beyond the constant one vanish."""
-        return _is_zero(self.coords[1:])
+        return not any(self.coords[1:])
 
     @property
     def rational_value(self) -> Fraction:
@@ -433,10 +429,8 @@ class Tower:
             raise NonRealExtension(
                 f"cannot adjoin sqrt({_brief(s)}): value is not positive"
             )
-        w = self.is_square(s)
+        w = self.sqrt(s)
         if w is not None:
-            if self.exact_sign(w) < 0:
-                w = -w
             raise NotAProperExtension(
                 f"{_brief(s)} is a square (witness {_brief(w)})", witness=w
             )
@@ -464,10 +458,8 @@ class Tower:
             )
         e = self.mul(disc, self.inv(self.mul(c2, c2).scale(4)))
         shift = -self.mul(c1, self.inv(c2.scale(2)))
-        w = self.is_square(e)
+        w = self.sqrt(e)
         if w is not None:
-            if self.exact_sign(w) < 0:
-                w = -w
             root = shift + w if branch == "+" else shift - w
             raise NotAProperExtension(
                 f"quadratic splits in the current field (root {_brief(root)})",
@@ -584,13 +576,22 @@ class Tower:
         root = _sqrt([c * d for c in a], x.level, self._integral[1])
         return None if root is None else self._leave(x.level, root[0], root[1] * d)
 
+    def sqrt(self, x: TowerElement) -> TowerElement | None:
+        """The nonnegative square root of x at its level, or None when x is
+        not a square there: the is_square witness, negated when negative,
+        as each generator is the positive root of its square."""
+        w = self.is_square(x)
+        if w is not None and self.exact_sign(w) < 0:
+            return -w
+        return w
+
     def member_of_level(self, x: TowerElement, j: int) -> TowerElement | None:
         """Project x down to level j if every extension part above j is
         zero; the result lifts back to x. None otherwise."""
         self._check_member(x)
         if not 0 <= j <= x.level:
             raise LevelMismatch(f"target level {j} out of range 0..{x.level}")
-        if not _is_zero(x.coords[1 << j:]):
+        if any(x.coords[1 << j:]):
             return None
         return TowerElement(j, x.coords[: 1 << j])
 
@@ -684,27 +685,3 @@ def save_tower(tower: Tower, path) -> None:
 def load_tower(path) -> Tower:
     with open(path, "r", encoding="utf-8") as fh:
         return loads_tower(fh.read())
-
-
-def format_element_text(x: TowerElement) -> str:
-    """Element text form: `elt <level>: <r0> <r1> ...`."""
-    return f"elt {x.level}: " + " ".join(format_rational(c) for c in x.coords)
-
-
-def parse_element_text(line: str) -> TowerElement:
-    stripped = line.split("#", 1)[0].strip()
-    if not stripped.startswith("elt "):
-        raise TowerFormatError(f"expected 'elt <level>: ...', got {line!r}")
-    head, sep, rest = stripped[len("elt "):].partition(":")
-    if not sep:
-        raise TowerFormatError(f"missing ':' in element line {line!r}")
-    try:
-        level = int(head)
-        coords = [parse_rational(tok) for tok in rest.split()]
-    except ValueError as exc:
-        raise TowerFormatError(f"bad element line: {exc}") from None
-    if level < 0 or len(coords) != 1 << level:
-        raise TowerFormatError(
-            f"level {level} needs {1 << max(level, 0)} coordinates, got {len(coords)}"
-        )
-    return TowerElement(level, tuple(coords))

@@ -1,11 +1,15 @@
 import io
+import random
+import re
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from qtower.cli import (
     CommandError,
     Session,
+    _format_decimal,
     execute,
     format_element,
     main,
@@ -35,6 +39,23 @@ def test_format_element_decimal_mode():
     s = Session(mode="decimal")
     assert format_element(s.tower.embed(Fraction(1, 4)), s) == "0.250000000000000"
     assert format_element(s.tower.embed(0), s) == "0.000000000000000"
+
+
+def test_format_decimal_is_mpmath_at_15_digits():
+    # nstr rounds the mantissa to exactly 15 digits and always writes a '.',
+    # at any working precision and magnitude; a format change must fail here
+    assert _format_decimal(mpmath.mpf(0)) == "0.000000000000000"
+    shape = re.compile(r"-?(\d+)\.(\d*)(e[+-]\d+)?$")
+    rng = random.Random(5)
+    for bits in list(range(1, 65)) + [113, 200, 1000, 4096]:
+        with mpmath.workprec(bits):
+            for exp10 in range(-40, 41, 4):
+                value = mpmath.mpf(rng.randint(1, 10**20)) * mpmath.mpf(10) ** (exp10 - 20)
+                for v in (value, -value):
+                    text = _format_decimal(v)
+                    m = shape.match(text)
+                    assert m, (bits, text)
+                    assert len((m.group(1) + m.group(2)).lstrip("0")) == 15, (bits, text)
 
 
 def test_format_element_both_mode():
@@ -232,6 +253,31 @@ def test_execute_errors_and_noise():
     assert same is s and out == ""
     same, out = execute(s, "# comment")
     assert same is s and out == ""
+
+
+def test_execute_rejects_non_ascii_digits():
+    with pytest.raises(CommandError) as info:
+        execute(Session(), "eval ²")
+    assert str(info.value) == "ParseError: unexpected character '²' (offset 0)"
+    with pytest.raises(CommandError) as info:
+        execute(Session(), "verdict [²]")
+    assert str(info.value) == "ParseError: unexpected character '²' (offset 1)"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "eval " + "(" * 3000 + "1" + ")" * 3000,
+        "eval " + "-" * 3000 + "1",
+        "eval " + "sqrt(" * 400 + "1" + ")" * 400,
+        "eval " + "+".join(["1"] * 3000),
+    ],
+    ids=["parentheses", "unary-minus", "sqrt", "flat-sum"],
+)
+def test_execute_refuses_deep_expressions(command):
+    with pytest.raises(CommandError) as info:
+        execute(session_with_sqrt2(), command)
+    assert str(info.value).startswith("ParseError: expression deeper than 100 levels")
 
 
 def test_execute_help():

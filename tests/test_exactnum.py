@@ -1,14 +1,8 @@
-import random
 from fractions import Fraction
 
 import pytest
 
-from qtower.exactnum import (
-    divisors,
-    format_rational,
-    parse_rational,
-    rational_square_root,
-)
+from qtower.exactnum import divisors, format_rational, parse_rational
 
 
 def brute_divisors(n):
@@ -34,50 +28,6 @@ def test_divisors_against_brute_force():
     # spot-check larger arguments against full trial division
     for n in (360360, 999983):
         assert divisors(n) == brute_divisors(n)
-
-
-def test_rational_square_root_examples():
-    assert rational_square_root(Fraction(9, 4)) == Fraction(3, 2)
-    assert rational_square_root(Fraction(2)) is None
-    assert rational_square_root(Fraction(0)) == 0
-
-
-def test_rational_square_root_negative():
-    assert rational_square_root(Fraction(-9, 4)) is None
-
-
-def test_rational_square_root_roundtrip():
-    rng = random.Random(7)
-    for _ in range(300):
-        w = Fraction(rng.randint(-100, 100), rng.randint(1, 100))
-        r = rational_square_root(w * w)
-        assert r is not None
-        assert r == abs(w)
-        assert r * r == w * w
-
-
-def test_rational_square_root_absent_means_absent():
-    # brute-force oracle: p'/q' with p', q' small enough that w*w could
-    # equal q for |num|, den <= 10**4; every square over that space is
-    # tabulated once, keeping the first root in scan order
-    roots = {}
-    for qq in range(1, 101):
-        for pp in range(0, 101):
-            w = Fraction(pp, qq)
-            roots.setdefault(w * w, w)
-
-    def brute(q):
-        return roots.get(q)
-
-    rng = random.Random(11)
-    cases = [Fraction(n, d) for n in range(1, 30) for d in range(1, 30)]
-    cases += [
-        Fraction(rng.randint(1, 10**4), rng.randint(1, 10**4)) for _ in range(200)
-    ]
-    for q in cases:
-        got = rational_square_root(q)
-        want = brute(q)
-        assert got == want
 
 
 def test_parse_rational():

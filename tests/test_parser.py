@@ -11,6 +11,7 @@ from qtower.errors import (
     ParseError,
 )
 from qtower.parser import (
+    MAX_DEPTH,
     BinOp,
     GeneratorRef,
     Name,
@@ -56,6 +57,9 @@ def test_tokenize_lex_error_position():
     with pytest.raises(ParseError) as info:
         tokenize("3@4")
     assert info.value.position == 1
+    with pytest.raises(ParseError) as info:
+        tokenize("1 + ²")  # a digit to str.isdigit, not a rational
+    assert info.value.position == 4
 
 
 def test_tokenize_zero_denominator():
@@ -136,6 +140,28 @@ def test_parse_exponent_bound():
         parse_expr("2^65")
     with pytest.raises(ParseError):
         parse_expr("2^-65")
+
+
+def test_parse_depth_bound():
+    # MAX_DEPTH levels parse; one more is refused at the token that adds it
+    for text in (
+        "-" * (MAX_DEPTH - 1) + "1",
+        "(" * (MAX_DEPTH - 1) + "1" + ")" * (MAX_DEPTH - 1),
+        "+".join(["1"] * MAX_DEPTH),
+        "sqrt(" * (MAX_DEPTH - 2) + "2^2" + ")" * (MAX_DEPTH - 2),
+    ):
+        parse_expr(text)
+    too_deep = {
+        "-" * MAX_DEPTH + "1": MAX_DEPTH,
+        "(" * MAX_DEPTH + "1" + ")" * MAX_DEPTH: MAX_DEPTH,
+        "+".join(["1"] * (MAX_DEPTH + 1)): 2 * MAX_DEPTH - 1,
+        "sqrt(" * (MAX_DEPTH - 1) + "2^2" + ")" * (MAX_DEPTH - 1): 5 * (MAX_DEPTH - 1) + 1,
+    }
+    for text, offset in too_deep.items():
+        with pytest.raises(ParseError) as info:
+            parse_expr(text)
+        assert info.value.position == offset, text
+        assert str(info.value).startswith(f"expression deeper than {MAX_DEPTH} levels")
 
 
 # -- evaluation ----------------------------------------------------------------

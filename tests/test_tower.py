@@ -18,10 +18,8 @@ from qtower.tower import (
     Tower,
     TowerElement,
     dumps_tower,
-    format_element_text,
     load_tower,
     loads_tower,
-    parse_element_text,
     save_tower,
 )
 
@@ -385,6 +383,34 @@ def test_is_square_roundtrip():
             assert t.mul(v, v) == sq
 
 
+def test_sqrt_is_the_nonnegative_root():
+    g = Q_SQRT2.generator(1)
+    x = Q_SQRT2.embed(3) - g.scale(2)  # (g1 - 1)^2, with g1 - 1 > 0
+    assert Q_SQRT2.is_square(x) == elt(1, 1, -1)
+    assert Q_SQRT2.sqrt(x) == elt(1, -1, 1)
+    assert Q_SQRT2.sqrt(Q_SQRT2.embed(2)) == g
+    assert Q_SQRT2.sqrt(TowerElement.zero(1)) == TowerElement.zero(1)
+    assert Q.sqrt(Q.embed(Fraction(9, 4))) == Q.embed(Fraction(3, 2))
+
+
+def test_sqrt_none_on_non_squares():
+    assert Q.sqrt(Q.embed(2)) is None
+    assert Q.sqrt(Q.embed(-4)) is None
+    assert Q_SQRT2.sqrt(Q_SQRT2.embed(3)) is None
+    assert Q_SQRT2.sqrt(-Q_SQRT2.generator(1)) is None
+
+
+def test_sqrt_of_square_is_plus_or_minus_x():
+    rng = random.Random(23)
+    for depth in (1, 2, 3):
+        t = random_tower(rng, depth)
+        for _ in range(10):
+            x = random_element(rng, depth, bound=20)
+            root = t.sqrt(t.mul(x, x))
+            assert root in (x, -x)
+            assert t.exact_sign(root) >= 0
+
+
 def test_member_of_level():
     t2 = Tower(((Fraction(2),), (Fraction(3), Fraction(0))))
     x = t2.lift(Q_SQRT2.lift(elt(0, 5)))
@@ -629,13 +655,3 @@ def test_loads_tower_rejects_malformed(text):
     with pytest.raises(TowerFormatError):
         loads_tower(text)
 
-
-def test_element_text_roundtrip():
-    x = elt(1, Fraction(-16, 23), Fraction(17, 23))
-    line = format_element_text(x)
-    assert line == "elt 1: -16/23 17/23"
-    assert parse_element_text(line) == x
-    with pytest.raises(TowerFormatError):
-        parse_element_text("elt 1: 1")
-    with pytest.raises(TowerFormatError):
-        parse_element_text("element 0: 1")
