@@ -13,12 +13,11 @@ from .errors import (
     TowerFormatError,
 )
 from .exactnum import divisors, format_rational, parse_rational
-from .parser import eval_expr, format_expr, parse_expr, parse_poly, tokenize
+from .parser import eval_expr, parse_expr, parse_poly, tokenize
 from .poly import (
     Outcome,
     Polynomial,
     Verdict,
-    conjugate_root,
     constructible_root_verdict,
     descend_cubic_root,
     poly_eval,

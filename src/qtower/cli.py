@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import mpmath
 
 from .errors import QTowerError
-from .parser import eval_expr, parse_expr, parse_poly
+from .parser import eval_expr, parse_expr, parse_poly, tokenize
 from .poly import (
     Outcome,
     constructible_root_verdict,
@@ -218,9 +218,11 @@ def _dispatch(session: Session, line: str) -> tuple[Session, str]:
         name, eq, expr = rest.partition("=")
         name = name.strip()
         expr = expr.strip()
-        if not eq or not name.isidentifier() or not expr:
+        # a name is what the parser reads as one NAME token
+        kinds = [tok.kind for tok in tokenize(name)] if eq and expr else []
+        if kinds[1:] != ["EOF"] or kinds[0] not in ("NAME", "SQRT", "GEN"):
             raise CommandError("usage: let <name> = <expr>")
-        if name == "sqrt" or (name[0] == "g" and name[1:].isdigit()):
+        if kinds[0] != "NAME":
             raise CommandError(f"{name!r} is reserved")
         value = _eval(session, expr)
         bindings = dict(session.bindings)

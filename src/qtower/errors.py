@@ -49,10 +49,9 @@ class NotASquareInTower(QTowerError):
 class ParseError(QTowerError):
     """Lexical or syntactic error, with a 0-based character offset."""
 
-    def __init__(self, message, position, expected=()):
+    def __init__(self, message, position):
         super().__init__(f"{message} (offset {position})")
         self.position = position
-        self.expected = tuple(expected)
 
 
 class TowerFormatError(QTowerError):

@@ -11,9 +11,9 @@ Grammar (whitespace insensitive, offsets are 0-based characters):
 Left associative throughout; unary minus binds tighter than '*' and '/'
 but looser than '^', so -2^2 is -(2^2). Trees deeper than MAX_DEPTH
 levels, a parenthesized group counting as one, are refused. Rationals are
-unsigned `p` or `p/q` tokens; a leading '-' is always the operator. Names
-resolve against REPL bindings at evaluation time; parsing never consults
-tower state.
+unsigned `p` or `p/q` tokens of ASCII digits; a leading '-' is always the
+operator. Names resolve against REPL bindings at evaluation time; parsing
+never consults tower state.
 
 Polynomial literals are `[c0, c1, ..., cd]` with rational entries,
 constant term first.
@@ -45,9 +45,9 @@ _TOKEN_CHARS = {
     ",": "COMMA",
 }
 
-_RAT_RE = re.compile(r"\d+(?:/\d+)?")
+_RAT_RE = re.compile(r"[0-9]+(?:/[0-9]+)?")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_GEN_RE = re.compile(r"g(\d+)$")
+_GEN_RE = re.compile(r"g([0-9]+)$")
 
 
 @dataclass(frozen=True)
@@ -156,20 +156,14 @@ class _Parser:
         tok = self.peek()
         if tok.kind != kind:
             raise ParseError(
-                f"expected {what}, got {tok.text or 'end of input'!r}",
-                tok.pos,
-                expected=(what,),
+                f"expected {what}, got {tok.text or 'end of input'!r}", tok.pos
             )
         return self.advance()
 
     def finish(self):
         tok = self.peek()
         if tok.kind != "EOF":
-            raise ParseError(
-                f"unexpected trailing input {tok.text!r}",
-                tok.pos,
-                expected=("end of input",),
-            )
+            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
 
     # Each rule parses a subtree whose root sits below `depth` levels and
     # returns it with its reach, the deepest level in it. Parsing and
@@ -246,27 +240,23 @@ class _Parser:
             self.expect("RPAREN", "')'")
             return inner, reach
         raise ParseError(
-            f"expected an atom, got {tok.text or 'end of input'!r}",
-            tok.pos,
-            expected=("rational", "g<k>", "sqrt(...)", "(", "name"),
+            f"expected an atom, got {tok.text or 'end of input'!r}", tok.pos
         )
 
 
-def parse_expr(source):
-    """Parse text (or a token list) into an expression tree; the entire
-    input must be consumed."""
-    tokens = tokenize(source) if isinstance(source, str) else list(source)
-    parser = _Parser(tokens)
+def parse_expr(text: str):
+    """Parse text into an expression tree; the entire input must be
+    consumed."""
+    parser = _Parser(tokenize(text))
     node = parser.expr(0)[0]
     parser.finish()
     return node
 
 
-def parse_poly(source) -> Polynomial:
+def parse_poly(text: str) -> Polynomial:
     """Parse `[c0, c1, ..., cd]` with rational entries (optional leading
     '-'), constant term first."""
-    tokens = tokenize(source) if isinstance(source, str) else list(source)
-    parser = _Parser(tokens)
+    parser = _Parser(tokenize(text))
     parser.expect("LBRACKET", "'['")
     if parser.peek().kind == "RBRACKET":
         raise ParseError("empty polynomial", parser.peek().pos)
@@ -328,50 +318,4 @@ def eval_expr(node, tower: Tower, bindings=None) -> TowerElement:
         if node.op == "*":
             return tower.mul(left, right)
         return tower.div(left, right)
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-_PRECEDENCE_ATOM = 5
-
-
-def _prec(node) -> int:
-    if isinstance(node, BinOp):
-        return 1 if node.op in "+-" else 2
-    if isinstance(node, Neg):
-        return 3
-    if isinstance(node, Pow):
-        return 4
-    return _PRECEDENCE_ATOM
-
-
-def format_expr(node) -> str:
-    """Render a tree back to the grammar; reparsing yields an identical
-    tree (literals are assumed nonnegative, as the parser produces)."""
-    if isinstance(node, RationalLiteral):
-        return str(node.value)
-    if isinstance(node, GeneratorRef):
-        return f"g{node.index}"
-    if isinstance(node, Name):
-        return node.name
-    if isinstance(node, Sqrt):
-        return f"sqrt({format_expr(node.child)})"
-    if isinstance(node, Neg):
-        inner = format_expr(node.child)
-        if _prec(node.child) < 3:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, Pow):
-        base = format_expr(node.child)
-        if _prec(node.child) < _PRECEDENCE_ATOM:
-            base = f"({base})"
-        return f"{base}^{node.exponent}"
-    if isinstance(node, BinOp):
-        prec = _prec(node)
-        left = format_expr(node.left)
-        if _prec(node.left) < prec:
-            left = f"({left})"
-        right = format_expr(node.right)
-        if _prec(node.right) <= prec:
-            right = f"({right})"
-        return f"{left} {node.op} {right}"
     raise TypeError(f"not an expression node: {node!r}")

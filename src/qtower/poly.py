@@ -49,11 +49,6 @@ class Polynomial:
         return not isinstance(self.coeffs[0], TowerElement)
 
     @property
-    def level(self) -> int | None:
-        """Coefficient level for tower-element polynomials, else None."""
-        return None if self.is_rational else self.coeffs[0].level
-
-    @property
     def degree(self) -> int:
         for i in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[i]
@@ -115,27 +110,6 @@ def poly_eval(p: Polynomial, x, tower: Tower | None = None):
     for c in reversed(p.coeffs):
         acc = acc * x + c
     return acc
-
-
-def conjugate_root(p: Polynomial, x0: TowerElement, tower: Tower) -> TowerElement:
-    """Given a root x0 at level k of a polynomial whose coefficients live
-    at level k-1 (or below), return the conjugate root a - b*g.
-
-    Roots of such polynomials come in conjugate pairs; the returned
-    element is re-verified exactly, so a failure can only mean a violated
-    tower invariant."""
-    if x0.level == 0:
-        raise LevelMismatch("conjugation needs a top generator (level >= 1)")
-    if not p.is_rational and p.level > x0.level - 1:
-        raise LevelMismatch(
-            f"coefficients at level {p.level} are not in the subfield of level {x0.level}"
-        )
-    if not poly_eval(p, x0, tower).is_zero:
-        raise ValueError("x0 is not a root of the polynomial")
-    conj = x0.conjugate()
-    if not poly_eval(p, conj, tower).is_zero:
-        raise InvalidTower("conjugate of a root is not a root; tower invariant violated")
-    return conj
 
 
 def _require_rational_cubic(p: Polynomial):

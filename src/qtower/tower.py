@@ -655,10 +655,10 @@ def loads_tower(text: str) -> Tower:
         raise TowerFormatError(f"missing '{_MAGIC}' header")
     if len(lines) < 2 or not lines[1].startswith("levels "):
         raise TowerFormatError("missing 'levels <n>' line")
-    try:
-        n = int(lines[1][len("levels "):])
-    except ValueError:
-        raise TowerFormatError(f"bad level count: {lines[1]!r}") from None
+    count = lines[1][len("levels "):].strip()
+    if not (count.isascii() and count.removeprefix("-").isdigit()):
+        raise TowerFormatError(f"bad level count: {lines[1]!r}")
+    n = int(count)
     if n < 0:
         raise TowerFormatError(f"negative level count {n}")
     body = lines[2:]

@@ -264,6 +264,44 @@ def test_execute_rejects_non_ascii_digits():
     assert str(info.value) == "ParseError: unexpected character '²' (offset 1)"
 
 
+def test_numbers_are_ascii_digits(tmp_path):
+    # '٣' (ARABIC-INDIC DIGIT THREE) is a digit to Python's \d and int(),
+    # but not to the expression grammar or the tower file format
+    with pytest.raises(CommandError) as info:
+        execute(Session(), "eval ٣/٤")
+    assert str(info.value) == "ParseError: unexpected character '٣' (offset 0)"
+    refused = {
+        "levels 1\nsquare 1: ٣": "TowerFormatError: square 1: not a rational: '٣'",
+        "levels ١\nsquare 1: 3": "TowerFormatError: bad level count: 'levels ١'",
+        "levels 0_1\nsquare 1: 3": "TowerFormatError: bad level count: 'levels 0_1'",
+        "levels -1": "TowerFormatError: negative level count -1",
+    }
+    path = tmp_path / "t.qt"
+    for body, error in refused.items():
+        path.write_text(f"QTOWER 1\n{body}\n", encoding="utf-8")
+        with pytest.raises(CommandError) as info:
+            execute(Session(), f"load {path}")
+        assert str(info.value) == error, body
+
+
+def test_let_binds_only_names_expressions_can_read():
+    s = Session()
+    for name, char in (("é", "é"), ("x٣", "٣")):
+        with pytest.raises(CommandError) as info:
+            execute(s, f"let {name} = 2")
+        assert str(info.value).startswith(f"ParseError: unexpected character {char!r}")
+    s, _ = execute(s, "let x_3 = 2")
+    assert execute(s, "eval x_3 + 1")[1].startswith("[3]")
+    for name in ("g1", "g01", "sqrt"):
+        with pytest.raises(CommandError) as info:
+            execute(s, f"let {name} = 2")
+        assert str(info.value) == f"{name!r} is reserved"
+    for command in ("let g1 =", "let é =", "let = 2", "let 1x = 2", "let a b = 2", "let a+1 = 2"):
+        with pytest.raises(CommandError) as info:
+            execute(s, command)
+        assert str(info.value) == "usage: let <name> = <expr>", command
+
+
 @pytest.mark.parametrize(
     "command",
     [

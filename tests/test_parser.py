@@ -14,13 +14,11 @@ from qtower.parser import (
     MAX_DEPTH,
     BinOp,
     GeneratorRef,
-    Name,
     Neg,
     Pow,
     RationalLiteral,
     Sqrt,
     eval_expr,
-    format_expr,
     parse_expr,
     parse_poly,
     tokenize,
@@ -105,6 +103,12 @@ def test_parse_unary_minus_precedence():
         "*", Neg(RationalLiteral(Fraction(2))), RationalLiteral(Fraction(3))
     )
     assert parse_expr("--2") == Neg(Neg(RationalLiteral(Fraction(2))))
+    # parentheses lift a lower-precedence operand back into a factor
+    assert parse_expr("(-g1)^2") == Pow(Neg(GeneratorRef(1)), 2)
+    assert parse_expr("-(1 + 2)") == Neg(
+        BinOp("+", RationalLiteral(Fraction(1)), RationalLiteral(Fraction(2)))
+    )
+    assert parse_expr("sqrt(2)^-3") == Pow(Sqrt(RationalLiteral(Fraction(2))), -3)
 
 
 def test_parse_left_associativity():
@@ -112,6 +116,17 @@ def test_parse_left_associativity():
         "-",
         BinOp("-", RationalLiteral(Fraction(1)), RationalLiteral(Fraction(2))),
         RationalLiteral(Fraction(3)),
+    )
+    # a parenthesized right operand nests to the right
+    assert parse_expr("1 - (2 - 3)") == BinOp(
+        "-",
+        RationalLiteral(Fraction(1)),
+        BinOp("-", RationalLiteral(Fraction(2)), RationalLiteral(Fraction(3))),
+    )
+    assert parse_expr("2 / (3 * g1)") == BinOp(
+        "/",
+        RationalLiteral(Fraction(2)),
+        BinOp("*", RationalLiteral(Fraction(3)), GeneratorRef(1)),
     )
 
 
@@ -234,7 +249,6 @@ def test_eval_matches_tower_ops():
             assert eval_expr(parse_expr("a / b"), t, env) == t.div(a, b)
 
 
-
 def test_eval_leaves_no_reference_cycle():
     # a cycle would keep the tower and the bindings alive until the next
     # full collection
@@ -246,46 +260,6 @@ def test_eval_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
-
-# -- formatting round trip -------------------------------------------------------
-
-
-def random_tree(rng, depth):
-    if depth == 0 or rng.random() < 0.3:
-        return rng.choice(
-            [
-                RationalLiteral(Fraction(rng.randint(0, 40), rng.randint(1, 9))),
-                GeneratorRef(rng.randint(1, 3)),
-                Name(rng.choice(["x", "last", "v_1"])),
-            ]
-        )
-    kind = rng.randrange(4)
-    if kind == 0:
-        return Sqrt(random_tree(rng, depth - 1))
-    if kind == 1:
-        return Neg(random_tree(rng, depth - 1))
-    if kind == 2:
-        return Pow(random_tree(rng, depth - 1), rng.randint(-5, 5))
-    return BinOp(
-        rng.choice(["+", "-", "*", "/"]),
-        random_tree(rng, depth - 1),
-        random_tree(rng, depth - 1),
-    )
-
-
-def test_format_parse_roundtrip():
-    rng = random.Random(73)
-    for _ in range(300):
-        tree = random_tree(rng, 6)
-        assert parse_expr(format_expr(tree)) == tree
-
-
-def test_format_examples():
-    assert format_expr(parse_expr("(3 - sqrt(2)) * sqrt(2) / (sqrt(2) + 5)")) == (
-        "(3 - sqrt(2)) * sqrt(2) / (sqrt(2) + 5)"
-    )
-    assert format_expr(Neg(Pow(RationalLiteral(Fraction(2)), 2))) == "-2^2"
-    assert format_expr(Pow(Neg(GeneratorRef(1)), 2)) == "(-g1)^2"
 
 
 # -- polynomial literals ----------------------------------------------------------

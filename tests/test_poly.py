@@ -8,7 +8,6 @@ from qtower.errors import LevelMismatch
 from qtower.poly import (
     Outcome,
     Polynomial,
-    conjugate_root,
     constructible_root_verdict,
     descend_cubic_root,
     poly_eval,
@@ -40,7 +39,6 @@ def test_polynomial_construction():
         Polynomial((elt(0, 1), elt(1, 1, 0)))
     q = Polynomial((elt(1, 1, 0), elt(1, 0, 1)))
     assert not q.is_rational
-    assert q.level == 1
 
 
 def test_degree_ignores_leading_zeros():
@@ -79,38 +77,6 @@ def test_poly_eval_errors():
         poly_eval(Polynomial((elt(1, 1, 0),)), 3)
     with pytest.raises(LevelMismatch):
         poly_eval(DOUBLE_CUBE, elt(2, 0, 0, 0, 1), Q_SQRT2)
-
-
-def test_conjugate_root_symmetric():
-    p = Polynomial((-2, 0, 1))
-    g = Q_SQRT2.generator(1)
-    conj = conjugate_root(p, g, Q_SQRT2)
-    assert conj == -g
-    assert poly_eval(p, conj, Q_SQRT2).is_zero
-
-
-def test_conjugate_root_quadratic_over_subfield():
-    c0, c1, c2 = Q_SQRT2.embed(-1), -Q_SQRT2.generator(1), Q_SQRT2.embed(1)
-    ext, root = Q_SQRT2.adjoin_quadratic_root((c0, c1, c2), "+")
-    quad = Polynomial((c0, c1, c2))
-    conj = conjugate_root(quad, root, ext)
-    # oracle: the '-' branch of the completed square is the other root
-    _, other = Q_SQRT2.adjoin_quadratic_root((c0, c1, c2), "-")
-    assert conj == other
-    assert poly_eval(quad, conj, ext).is_zero
-
-
-def test_conjugate_root_fixes_subfield():
-    p = Polynomial((2, -2, -1, 1))  # (x^2 - 2)(x - 1)
-    lifted_one = Q_SQRT2.embed(1)
-    assert conjugate_root(p, lifted_one, Q_SQRT2) == lifted_one
-
-
-def test_conjugate_root_rejects_non_root():
-    with pytest.raises(ValueError):
-        conjugate_root(Polynomial((-2, 0, 1)), Q_SQRT2.embed(1), Q_SQRT2)
-    with pytest.raises(LevelMismatch):
-        conjugate_root(Polynomial((-2, 0, 1)), Q.embed(0), Q)
 
 
 def test_conjugate_eval_homomorphism():
