@@ -296,7 +296,8 @@ def test_let_binds_only_names_expressions_can_read():
         with pytest.raises(CommandError) as info:
             execute(s, f"let {name} = 2")
         assert str(info.value) == f"{name!r} is reserved"
-    for command in ("let g1 =", "let é =", "let = 2", "let 1x = 2", "let a b = 2", "let a+1 = 2"):
+    usage = ("let g1 =", "let é =", "let = 2", "let 1x = 2", "let a b = 2", "let a+1 = 2")
+    for command in usage:
         with pytest.raises(CommandError) as info:
             execute(s, command)
         assert str(info.value) == "usage: let <name> = <expr>", command
