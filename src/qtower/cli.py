@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 import mpmath
 
 from .errors import QTowerError
+from .exactnum import parse_integer
 from .parser import eval_expr, parse_expr, parse_poly, tokenize
 from .poly import (
     Outcome,
@@ -21,7 +22,7 @@ from .poly import (
     rational_roots_cubic,
     rrt_candidates,
 )
-from .tower import Tower, TowerElement, load_tower, save_tower
+from .tower import Tower, TowerElement, format_coords, load_tower, save_tower, strip_comment
 
 MODES = ("coords", "decimal", "both")
 
@@ -57,6 +58,17 @@ class Session:
     mode: str = "both"
 
 
+def positive_bits(text: str) -> int:
+    """Precision bits, a positive ASCII integer; argparse names it in errors."""
+    try:
+        bits = parse_integer(text)
+    except ValueError:
+        raise ValueError(f"not a precision: {text!r}") from None
+    if bits < 1:
+        raise ValueError("precision must be a positive number of bits")
+    return bits
+
+
 def _format_decimal(value) -> str:
     """15 significant digits, deterministic, trailing zeros kept: mpmath
     rounds the mantissa to exactly 15 digits and always writes a '.'."""
@@ -65,18 +77,14 @@ def _format_decimal(value) -> str:
     return mpmath.nstr(value, 15, strip_zeros=False)
 
 
-def _coords_str(x: TowerElement) -> str:
-    return "[" + ", ".join(str(c) for c in x.coords) + "]"
-
-
 def format_element(x: TowerElement, session: Session) -> str:
     """Render per the session's output mode and precision."""
     if session.mode == "coords":
-        return _coords_str(x)
+        return format_coords(x.coords)
     decimal = _format_decimal(session.tower.approx(x, session.precision))
     if session.mode == "decimal":
         return decimal
-    return f"{_coords_str(x)} ≈ {decimal}"
+    return f"{format_coords(x.coords)} ≈ {decimal}"
 
 
 def _eval(session: Session, text: str) -> TowerElement:
@@ -109,7 +117,7 @@ def _dispatch(session: Session, line: str) -> tuple[Session, str]:
         k = tower.depth
         return (
             replace(session, tower=tower),
-            f"adjoined g{k}: g{k}^2 = {_coords_str(square)}; depth {k}",
+            f"adjoined g{k}: g{k}^2 = {format_coords(square.coords)}; depth {k}",
         )
 
     if word == "adjoin-root":
@@ -151,7 +159,7 @@ def _dispatch(session: Session, line: str) -> tuple[Session, str]:
         if len(parts) != 2:
             raise CommandError("usage: member <expr> <level>")
         try:
-            level = int(parts[1])
+            level = parse_integer(parts[1])
         except ValueError:
             raise CommandError(f"not a level: {parts[1]!r}") from None
         projected = session.tower.member_of_level(_eval(session, parts[0]), level)
@@ -202,11 +210,9 @@ def _dispatch(session: Session, line: str) -> tuple[Session, str]:
         value = value.strip()
         if key == "precision":
             try:
-                bits = int(value)
-            except ValueError:
-                raise CommandError(f"not a precision: {value!r}") from None
-            if bits < 1:
-                raise CommandError("precision must be a positive number of bits")
+                bits = positive_bits(value)
+            except ValueError as exc:
+                raise CommandError(str(exc)) from None
             return replace(session, precision=bits), f"precision = {bits}"
         if key == "mode":
             if value not in MODES:
@@ -238,8 +244,8 @@ def execute(session: Session, command: str) -> tuple[Session, str]:
 
     Failures raise CommandError with the underlying error rendered by
     name; the input session is never modified."""
-    stripped = command.strip()
-    if not stripped or stripped.startswith("#"):
+    stripped = strip_comment(command)
+    if not stripped:
         return session, ""
     try:
         return _dispatch(session, stripped)
@@ -247,13 +253,6 @@ def execute(session: Session, command: str) -> tuple[Session, str]:
         raise
     except (QTowerError, ValueError, OSError) as exc:
         raise CommandError(f"{type(exc).__name__}: {exc}") from exc
-
-
-def _script_lines(text: str):
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield line
 
 
 def run_batch(
@@ -276,7 +275,7 @@ def run_batch(
     session, status = _initial_session(tower_path, precision, mode)
     if session is None:
         return status
-    for line in _script_lines(text):
+    for line in filter(None, map(strip_comment, text.splitlines())):
         if not quiet:
             print(f"> {line}", file=out)
         try:
@@ -316,7 +315,7 @@ def repl(session: Session | None = None, infile=None, out=None) -> int:
         if not line:
             print("", file=out)
             return 0
-        line = line.strip()
+        line = strip_comment(line)
         if line in ("quit", "exit"):
             return 0
         try:
@@ -355,7 +354,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--quiet", action="store_true", help="do not echo commands")
     for p in (p_repl, p_run):
         p.add_argument("--tower", help="tower file to preload")
-        p.add_argument("--precision", type=int, help="approximation bits (default 113)")
+        p.add_argument("--precision", type=positive_bits, help="approximation bits (default 113)")
         p.add_argument("--mode", choices=MODES, help="output mode (default both)")
 
     p_verdict = sub.add_parser("verdict", help="constructibility verdict for a cubic")
@@ -366,7 +365,7 @@ def main(argv=None) -> int:
     p_eval = sub.add_parser("eval", help="evaluate one expression")
     p_eval.add_argument("expr")
     p_eval.add_argument("--tower", help="tower file to load first")
-    p_eval.add_argument("--precision", type=int)
+    p_eval.add_argument("--precision", type=positive_bits)
     p_eval.add_argument("--mode", choices=MODES)
 
     args = parser.parse_args(argv)

@@ -2,7 +2,8 @@
 
 Rationals are `fractions.Fraction` values: arbitrary precision, always in
 lowest terms with a positive denominator, zero canonically 0/1. Text form
-is `p` or `p/q` with an optional leading minus and a positive denominator.
+is `p` or `p/q` in ASCII digits, with an optional leading minus and a
+positive denominator.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import re
 from fractions import Fraction
 
 _RATIONAL_RE = re.compile(r"^(-?[0-9]+)(?:/([0-9]+))?$")
+_INTEGER_RE = re.compile(r"-?[0-9]+")
 
 
 def divisors(n: int) -> list[int]:
@@ -47,6 +49,13 @@ def parse_rational(text: str) -> Fraction:
     if den == 0:
         raise ValueError(f"zero denominator: {text!r}")
     return Fraction(num, den)
+
+
+def parse_integer(text: str) -> int:
+    """Parse an ASCII integer, `-?[0-9]+`; int() would also take `+`, `_` and `١`."""
+    if _INTEGER_RE.fullmatch(text.strip()) is None:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def format_rational(q: Fraction) -> str:

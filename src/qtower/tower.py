@@ -16,9 +16,10 @@ decomposition x = a + b*g_k.
 Arithmetic runs on integer vectors. Each tower rescales its generators,
 g_i' = D_i*g_i with D_i > 0 the least common denominator of s_i's
 coordinates in the rescaled basis below, so that every square s_i' =
-D_i^2*s_i is an integer vector and integer vectors form a ring. Coordinate
-j of an element converts between the two bases by the product of the D_i
-over the set bits of j; an element enters the kernel once per public
+D_i^2*s_i is an integer vector and integer vectors form a ring; D_i is
+found once, when level i is adjoined. Coordinate j of an element
+converts between the two bases by the product of the D_i over the set
+bits of j; an element enters the kernel once per public
 operation as an integer vector over one positive denominator, and leaves
 it once as Fractions. In that ring a product takes three half-size
 products plus one product by s (Karatsuba on a + b*g):
@@ -40,7 +41,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import mpmath
 
@@ -52,17 +52,13 @@ from .errors import (
     NotAProperExtension,
     TowerFormatError,
 )
-from .exactnum import format_rational, parse_rational
+from .exactnum import format_rational, parse_integer, parse_rational
 
 _ZERO = Fraction(0)
 
 # Coordinate tuples are built from lists, never from generators: CPython sizes
 # tuple(<generator>) by resizing, so its freed small tuples pile up (up to 2000
 # per length) on free lists that exact-size allocations never drain.
-
-
-def _as_fractions(coords) -> tuple[Fraction, ...]:
-    return tuple([c if type(c) is Fraction else Fraction(c) for c in coords])
 
 
 # -- the integer kernel -------------------------------------------------------
@@ -227,7 +223,7 @@ class TowerElement:
     def __post_init__(self):
         if self.level < 0:
             raise ValueError(f"negative level {self.level}")
-        coords = _as_fractions(self.coords)
+        coords = tuple([c if type(c) is Fraction else Fraction(c) for c in self.coords])
         if len(coords) != 1 << self.level:
             raise ValueError(
                 f"level {self.level} needs {1 << self.level} coordinates, "
@@ -299,15 +295,17 @@ class TowerElement:
         return TowerElement(self.level, tuple([-x for x in self.coords]))
 
     def __repr__(self):
-        inner = ", ".join(str(c) for c in self.coords)
-        return f"TowerElement({self.level}, [{inner}])"
+        return f"TowerElement({self.level}, {format_coords(self.coords)})"
+
+
+def format_coords(coords) -> str:
+    """Coordinates as `[c0, c1, ...]`, each in its `p` or `p/q` form."""
+    return "[" + ", ".join([str(c) for c in coords]) + "]"
 
 
 def _brief(x: TowerElement) -> str:
     """Compact display for messages: plain rational when possible."""
-    if x.is_rational:
-        return str(x.coords[0])
-    return "[" + ", ".join(str(c) for c in x.coords) + "]"
+    return str(x.coords[0]) if x.is_rational else format_coords(x.coords)
 
 
 @dataclass(frozen=True)
@@ -322,15 +320,20 @@ class Tower:
     positive (NonRealExtension) and must not be a square in level i-1
     (NotAProperExtension, carrying the witness). The error names the
     first failing level: `level i: <ErrorClass>: <message>`.
+
+    Each tower holds its rescaled basis: `_scales[j]`, the product of the
+    D_i over the set bits of j, and `_squares[i-1]` = D_i^2*s_i, an int
+    when s_i is rational and an integer vector otherwise.
     """
 
     levels: tuple[tuple[Fraction, ...], ...] = ()
 
     def __post_init__(self):
-        levels = tuple([_as_fractions(sq) for sq in self.levels])
-        object.__setattr__(self, "levels", levels)
-        prefix = Tower._trusted(())
-        for i, sq in enumerate(levels, start=1):
+        # start as Q, adjoin every level in turn, then adopt the last
+        # prefix's levels and rescaled basis
+        levels, prefix = self.levels, self
+        vars(self).update(levels=(), _scales=(1,), _squares=())
+        for i, sq in enumerate(map(tuple, levels), start=1):
             try:
                 if len(sq) != 1 << (i - 1):
                     raise InvalidTower(
@@ -343,14 +346,21 @@ class Tower:
                 if isinstance(exc, NotAProperExtension):
                     raise NotAProperExtension(message, witness=exc.witness) from None
                 raise type(exc)(message) from None
+        vars(self).update(vars(prefix))
 
-    @classmethod
-    def _trusted(cls, levels) -> Tower:
-        """The tower over `levels`, a tuple of Fraction tuples, built
-        without validation: only for chains already proven level by level,
-        as adjoin_sqrt and adjoin_quadratic_root prove their new square."""
-        tower = object.__new__(cls)
-        object.__setattr__(tower, "levels", levels)
+    def _extended(self, s: TowerElement) -> Tower:
+        """This tower extended by g = sqrt(s), s a top-level element proven
+        positive and not a square. Only the new level is rescaled, by D, the
+        least common denominator of s's coordinates in the rescaled basis."""
+        coords = [c / p for c, p in zip(s.coords, self._scales)]
+        d = math.lcm(*[c.denominator for c in coords])
+        ints = [int(c * d * d) for c in coords]
+        tower = object.__new__(Tower)
+        vars(tower).update(
+            levels=self.levels + (s.coords,),
+            _scales=self._scales + tuple([p * d for p in self._scales]),
+            _squares=self._squares + (ints if any(ints[1:]) else ints[0],),
+        )
         return tower
 
     @property
@@ -358,10 +368,7 @@ class Tower:
         return len(self.levels)
 
     def __repr__(self):
-        squares = ", ".join(
-            "[" + ", ".join(str(c) for c in sq) + "]" for sq in self.levels
-        )
-        return f"Tower([{squares}])"
+        return f"Tower([{', '.join([format_coords(sq) for sq in self.levels])}])"
 
     # -- construction -----------------------------------------------------
 
@@ -434,7 +441,7 @@ class Tower:
             raise NotAProperExtension(
                 f"{_brief(s)} is a square (witness {_brief(w)})", witness=w
             )
-        return Tower._trusted(self.levels + (s.coords,))
+        return self._extended(s)
 
     def adjoin_quadratic_root(self, coeffs, branch: str) -> tuple[Tower, TowerElement]:
         """Extend by a root of c0 + c1*x + c2*x^2 with coefficients in the
@@ -465,7 +472,7 @@ class Tower:
                 f"quadratic splits in the current field (root {_brief(root)})",
                 witness=root,
             )
-        ext = Tower._trusted(self.levels + (e.coords,))
+        ext = self._extended(e)
         g = ext.generator(ext.depth)
         root = ext.lift(shift) + g if branch == "+" else ext.lift(shift) - g
         # Horner check; by construction this is exact, so a failure means
@@ -479,20 +486,6 @@ class Tower:
 
     # -- arithmetic --------------------------------------------------------
 
-    @cached_property
-    def _integral(self):
-        """(scales, squares): scales[j] is the product of the D_i over the
-        set bits of j, and squares[i-1] is s_i' = D_i^2*s_i, an int when
-        s_i is rational and an integer vector otherwise."""
-        scales, squares = [1], []
-        for sq in self.levels:
-            coords = [c / p for c, p in zip(sq, scales)]
-            d = math.lcm(*[c.denominator for c in coords])
-            ints = [int(c * d * d) for c in coords]
-            squares.append(ints if any(ints[1:]) else ints[0])
-            scales += [p * d for p in scales]
-        return scales, squares
-
     def _check_member(self, x: TowerElement):
         if x.level > self.depth:
             raise LevelMismatch(
@@ -503,19 +496,18 @@ class Tower:
         """x as (v, d): an integer vector in the rescaled basis over one
         positive denominator."""
         self._check_member(x)
-        dens = [c.denominator * p for c, p in zip(x.coords, self._integral[0])]
+        dens = [c.denominator * p for c, p in zip(x.coords, self._scales)]
         d = math.lcm(*dens)
         return [c.numerator * (d // e) for c, e in zip(x.coords, dens)], d
 
     def _leave(self, level: int, v, d: int) -> TowerElement:
-        scales = self._integral[0]
-        return TowerElement(level, tuple([Fraction(n * p, d) for n, p in zip(v, scales)]))
+        return TowerElement(level, tuple([Fraction(n * p, d) for n, p in zip(v, self._scales)]))
 
     def _inverse(self, v, d, level):
         """1/(v/d) as (vector, denominator)."""
         if not any(v):
             raise DivisionByZero("inverse of zero")
-        w, m = _inv(v, level, self._integral[1])
+        w, m = _inv(v, level, self._squares)
         return [x * d for x in w], m
 
     def mul(self, x: TowerElement, y: TowerElement) -> TowerElement:
@@ -525,7 +517,7 @@ class Tower:
         a, da = self._enter(x)
         x._check_level(y)
         b, db = self._enter(y)
-        return self._leave(x.level, _mul(a, b, x.level, self._integral[1]), da * db)
+        return self._leave(x.level, _mul(a, b, x.level, self._squares), da * db)
 
     def inv(self, x: TowerElement) -> TowerElement:
         """Exact multiplicative inverse via the conjugate: 1/(a + b*g) =
@@ -547,12 +539,11 @@ class Tower:
         if n < 0:
             a, d = self._inverse(a, d, x.level)
             n = -n
-        squares = self._integral[1]
         acc = a
         for bit in bin(n)[3:]:
-            acc = _mul(acc, acc, x.level, squares)
+            acc = _mul(acc, acc, x.level, self._squares)
             if bit == "1":
-                acc = _mul(acc, a, x.level, squares)
+                acc = _mul(acc, a, x.level, self._squares)
         return self._leave(x.level, acc, d**n)
 
     def exact_sign(self, x: TowerElement) -> int:
@@ -561,7 +552,7 @@ class Tower:
         outright; otherwise the part with the larger magnitude wins, and
         a^2 versus s*b^2 is compared one level down. Rescaled generators
         stay positive, so the integer vector has the sign of x."""
-        return _sign(self._enter(x)[0], x.level, self._integral[1])
+        return _sign(self._enter(x)[0], x.level, self._squares)
 
     def is_square(self, x: TowerElement) -> TowerElement | None:
         """A witness w with w*w = x exactly, or None when x is not a
@@ -573,7 +564,7 @@ class Tower:
         gives the witness, a square root by the norm identity.
         """
         a, d = self._enter(x)
-        root = _sqrt([c * d for c in a], x.level, self._integral[1])
+        root = _sqrt([c * d for c in a], x.level, self._squares)
         return None if root is None else self._leave(x.level, root[0], root[1] * d)
 
     def sqrt(self, x: TowerElement) -> TowerElement | None:
@@ -634,6 +625,12 @@ def _approx_coords(coords, gens):
 _MAGIC = "QTOWER 1"
 
 
+def strip_comment(line: str) -> str:
+    """The line without its `#` comment and surrounding whitespace, as tower
+    files, scripts and session commands read it."""
+    return line.split("#", 1)[0].strip()
+
+
 def dumps_tower(tower: Tower) -> str:
     """Serialize to the line-based tower format (deterministic bytes)."""
     lines = [_MAGIC, f"levels {tower.depth}"]
@@ -646,19 +643,15 @@ def loads_tower(text: str) -> Tower:
     """Parse and validate a tower file. Structural problems raise
     TowerFormatError; a well-formed file describing an invalid tower
     raises the error Tower construction raises (e.g. NotAProperExtension)."""
-    lines = []
-    for raw in text.splitlines():
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append(stripped)
+    lines = [line for line in map(strip_comment, text.splitlines()) if line]
     if not lines or lines[0] != _MAGIC:
         raise TowerFormatError(f"missing '{_MAGIC}' header")
     if len(lines) < 2 or not lines[1].startswith("levels "):
         raise TowerFormatError("missing 'levels <n>' line")
-    count = lines[1][len("levels "):].strip()
-    if not (count.isascii() and count.removeprefix("-").isdigit()):
-        raise TowerFormatError(f"bad level count: {lines[1]!r}")
-    n = int(count)
+    try:
+        n = parse_integer(lines[1][len("levels "):])
+    except ValueError:
+        raise TowerFormatError(f"bad level count: {lines[1]!r}") from None
     if n < 0:
         raise TowerFormatError(f"negative level count {n}")
     body = lines[2:]
@@ -670,11 +663,10 @@ def loads_tower(text: str) -> Tower:
         if not line.startswith(prefix):
             raise TowerFormatError(f"expected {prefix!r}, got {line!r}")
         try:
-            coords = [parse_rational(tok) for tok in line[len(prefix):].split()]
+            squares.append([parse_rational(tok) for tok in line[len(prefix):].split()])
         except ValueError as exc:
             raise TowerFormatError(f"square {i}: {exc}") from None
-        squares.append(tuple(coords))
-    return Tower(tuple(squares))
+    return Tower(squares)
 
 
 def save_tower(tower: Tower, path) -> None:

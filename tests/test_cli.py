@@ -217,24 +217,31 @@ def test_execute_load_invalid(tmp_path):
 
 
 def test_adjoin_and_load_validate_each_level_once(tmp_path, monkeypatch):
-    calls = []
-    adjoin_sqrt = Tower.adjoin_sqrt
+    # each level is validated once and rescaled once, when it is added
+    calls, rescaled = [], []
+    adjoin_sqrt, extended = Tower.adjoin_sqrt, Tower._extended
 
     def counted(tower, square):
         calls.append(square)
         return adjoin_sqrt(tower, square)
 
+    def counted_extension(tower, square):
+        rescaled.append(square)
+        return extended(tower, square)
+
     monkeypatch.setattr(Tower, "adjoin_sqrt", counted)
+    monkeypatch.setattr(Tower, "_extended", counted_extension)
     s = Session()
     for square in ("2", "3", "5"):
         s, _ = execute(s, f"adjoin {square}")
-    assert len(calls) == 3
+    assert len(calls) == len(rescaled) == 3
     path = tmp_path / "t.qt"
     execute(s, f"save {path}")
     calls.clear()
+    rescaled.clear()
     loaded, _ = execute(Session(), f"load {path}")
     assert loaded.tower == s.tower
-    assert len(calls) == 3
+    assert len(calls) == len(rescaled) == 3
 
 
 def test_execute_errors_and_noise():
@@ -282,6 +289,35 @@ def test_numbers_are_ascii_digits(tmp_path):
         with pytest.raises(CommandError) as info:
             execute(Session(), f"load {path}")
         assert str(info.value) == error, body
+
+
+def test_cli_integers_are_ascii_digits(capsys):
+    # int() reads all three; the grammar's integers are ASCII -?[0-9]+
+    for value in ("١٢٨", "1_0", "+5"):
+        with pytest.raises(CommandError) as info:
+            execute(Session(), f"set precision {value}")
+        assert str(info.value) == f"not a precision: {value!r}"
+    assert execute(Session(), "set precision 64")[1] == "precision = 64"
+    with pytest.raises(CommandError) as info:
+        execute(session_with_sqrt2(), "member 3 ٠")
+    assert str(info.value) == "not a level: '٠'"
+    assert execute(session_with_sqrt2(), "member 3 0")[1].startswith("member of level 0: [3]")
+    with pytest.raises(SystemExit) as info:
+        main(["eval", "--precision", "١٢", "1/3"])
+    assert info.value.code == 2
+    assert "argument --precision: invalid positive_bits value: '١٢'" in capsys.readouterr().err
+
+
+def test_inline_comments_in_sessions():
+    s = session_with_sqrt2()
+    assert execute(s, "eval 1/3 # third") == execute(s, "eval 1/3")
+    _, out = execute(s, "adjoin 3  # g2")
+    assert out == "adjoined g2: g2^2 = [3, 0]; depth 2"
+    out = io.StringIO()
+    assert repl(infile=io.StringIO("eval 1/3 # third\nquit # done\neval 2\n"), out=out) == 0
+    text = out.getvalue()
+    assert "[1/3] ≈ 0.333333333333333" in text
+    assert "ParseError" not in text and "[2]" not in text  # quit ended the loop
 
 
 def test_let_binds_only_names_expressions_can_read():
@@ -432,6 +468,22 @@ def test_main_eval_with_tower(tmp_path, capsys):
     towerfile.write_text("QTOWER 1\nlevels 1\nsquare 1: 2\n")
     assert main(["eval", "--tower", str(towerfile), "--mode", "coords", "sqrt(2) + 1"]) == 0
     assert capsys.readouterr().out.strip() == "[1, 1]"
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_main_refuses_non_positive_precision(tmp_path, capsys, value):
+    script = tmp_path / "s.qts"
+    script.write_text("eval 1/3\n")
+    for argv in (
+        ["run", "--precision", value, str(script)],
+        ["repl", "--precision", value],
+        ["eval", "--precision", value, "1/3"],
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --precision: invalid positive_bits value: '{value}'" in err
 
 
 def test_main_run(tmp_path, capsys):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from qtower.exactnum import divisors, format_rational, parse_rational
+from qtower.exactnum import divisors, format_rational, parse_integer, parse_rational
 
 
 def brute_divisors(n):
@@ -41,6 +41,20 @@ def test_parse_rational():
 def test_parse_rational_rejects(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
+
+
+def test_parse_integer():
+    assert parse_integer("128") == 128
+    assert parse_integer("-7") == -7
+    assert parse_integer(" 12 ") == 12
+    assert parse_integer("-0") == 0
+
+
+@pytest.mark.parametrize("bad", ["", "-", "a", "1.0", "1/2", "+5", "1_0", "١٢٨", "٣", "1 2"])
+def test_parse_integer_rejects(bad):
+    with pytest.raises(ValueError) as info:
+        parse_integer(bad)
+    assert str(info.value) == f"not an integer: {bad!r}"
 
 
 def test_format_rational():

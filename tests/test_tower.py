@@ -547,6 +547,10 @@ def kernel_tower(kind, rng, depth):
         return integral_tower(rng, depth)
     if kind == "nested":
         return random_tower(rng, depth)
+    if kind == "built":
+        # non-integral nested squares through Tower(levels), which adopts the
+        # rescaled basis of its last validated prefix
+        return Tower([list(sq) for sq in random_tower(rng, depth).levels])
     t = Tower()
     for s in RATIONAL_SQUARES[:depth]:
         t = t.adjoin_sqrt(s)
@@ -570,7 +574,7 @@ def kernel_operands(rng, depth):
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
-@pytest.mark.parametrize("kind", ["integral", "nested", "rational"])
+@pytest.mark.parametrize("kind", ["integral", "nested", "built", "rational"])
 def test_kernel_matches_schoolbook(kind, depth):
     rng = random.Random(f"{kind}-{depth}")
     t = kernel_tower(kind, rng, depth)
