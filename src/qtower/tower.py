@@ -39,6 +39,7 @@ values are safe to share across threads.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -670,8 +671,16 @@ def loads_tower(text: str) -> Tower:
 
 
 def save_tower(tower: Tower, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps_tower(tower))
+    """Write the tower file. An existing file is overwritten in place and
+    then cut to the new length, never truncated to zero first: on ext4 a
+    truncate to zero makes close() start writing the file to disk, so each
+    save would wait on the disk."""
+    data = dumps_tower(tower).encode("utf-8")
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        # only a longer regular file has bytes left over; a device has none
+        if os.fstat(fh.fileno()).st_size > len(data):
+            fh.truncate()
 
 
 def load_tower(path) -> Tower:

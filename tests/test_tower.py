@@ -1,4 +1,5 @@
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -621,6 +622,19 @@ def test_tower_file_roundtrip(tmp_path):
     assert load_tower(path) == t
     save_tower(load_tower(path), path)
     assert path.read_bytes() == text.encode()
+
+
+def test_save_tower_overwrites_in_place(tmp_path):
+    # a shorter tower saved over a longer file leaves no bytes behind
+    deep = Tower(((Fraction(2),), (Fraction(3), Fraction(1))))
+    shallow = Tower(((Fraction(2),),))
+    path = tmp_path / "tower.qt"
+    save_tower(deep, path)
+    save_tower(shallow, path)
+    assert path.read_bytes() == dumps_tower(shallow).encode()
+    save_tower(deep, path)
+    assert load_tower(path) == deep
+    save_tower(deep, os.devnull)
 
 
 def test_loads_tower_comments_and_blanks():
