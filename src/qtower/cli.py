@@ -57,6 +57,11 @@ class Session:
     precision: int = 113
     mode: str = "both"
 
+    def __post_init__(self):
+        # the one check of precision, for the command line and library callers alike
+        if self.precision < 1:
+            raise ValueError("precision must be a positive number of bits")
+
 
 def positive_bits(text: str) -> int:
     """Precision bits, a positive ASCII integer; argparse names it in errors."""
@@ -64,9 +69,7 @@ def positive_bits(text: str) -> int:
         bits = parse_integer(text)
     except ValueError:
         raise ValueError(f"not a precision: {text!r}") from None
-    if bits < 1:
-        raise ValueError("precision must be a positive number of bits")
-    return bits
+    return Session(precision=bits).precision  # Session checks the value
 
 
 def _format_decimal(value) -> str:
@@ -289,11 +292,12 @@ def run_batch(
 
 
 def _initial_session(tower_path, precision, mode):
-    session = Session()
-    if precision is not None:
-        session.precision = precision
-    if mode is not None:
-        session.mode = mode
+    options = {"precision": precision, "mode": mode}
+    try:
+        session = Session(**{key: value for key, value in options.items() if value is not None})
+    except ValueError as exc:
+        print(f"cannot start session: {exc}", file=sys.stderr)
+        return None, 2
     if tower_path is not None:
         try:
             session.tower = load_tower(tower_path)

@@ -1,8 +1,16 @@
 """Seeded random generators shared by the unit and acceptance tests."""
 
+import math
 from fractions import Fraction
 
 from qtower.tower import Tower, TowerElement
+
+
+def trial_divisors(n):
+    """Every positive divisor of n >= 1 by trial division up to sqrt(n):
+    a reference for exactnum.divisors that shares none of its number theory."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def random_rational(rng, bound=100):

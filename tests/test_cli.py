@@ -1,7 +1,12 @@
 import io
+import os
 import random
 import re
+import subprocess
+import sys
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -416,6 +421,22 @@ def test_run_batch_bad_tower_preload(tmp_path):
     assert run_batch(script, tower_path=tmp_path / "nope.qt", out=io.StringIO()) == 2
 
 
+@pytest.mark.parametrize("precision", [0, -3])
+def test_library_sessions_refuse_non_positive_precision(tmp_path, capsys, precision):
+    with pytest.raises(ValueError, match="^precision must be a positive number of bits$"):
+        Session(precision=precision)
+    with pytest.raises(ValueError, match="^precision must be a positive number of bits$"):
+        replace(Session(), precision=precision)
+    script = tmp_path / "script.qt"
+    script.write_text("eval 1/3\n")
+    out = io.StringIO()
+    assert run_batch(script, precision=precision, out=out) == 2
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err == (
+        "cannot start session: precision must be a positive number of bits\n"
+    )
+
+
 def test_run_batch_with_tower_and_flags(tmp_path):
     towerfile = tmp_path / "t.qt"
     towerfile.write_text("QTOWER 1\nlevels 1\nsquare 1: 2\n")
@@ -458,6 +479,40 @@ def test_main_rrt(capsys):
     assert "candidates: -1, -1/2, -1/4, -1/8, 1/8, 1/4, 1/2, 1" in capsys.readouterr().out
 
 
+# recorded from the trial-division `divisors`; factoring must not change a byte
+TRANSCRIPTS_NEAR_10_12 = [
+    (
+        ["verdict", "[-999962000357,999979,-999983,1]"],  # (x - 999983)(x^2 + 999979)
+        "rational root found: 999983; candidates checked: -999962000357, -999983, "
+        "-999979, -1, 1, 999979, 999983, 999962000357\n",
+    ),
+    (
+        ["verdict", "[999999999989,1,0,6]"],
+        "no root in any quadratic extension tower; candidates checked: -999999999989, "
+        "-999999999989/2, -999999999989/3, -999999999989/6, -1, -1/2, -1/3, -1/6, 1/6, "
+        "1/3, 1/2, 1, 999999999989/6, 999999999989/3, 999999999989/2, 999999999989 "
+        "(all nonzero)\nby: no rational root => no root in any quadratic extension tower\n",
+    ),
+    (
+        ["rrt", "[-999966000289,0,0,12]"],  # 999983^2
+        "candidates: -999966000289, -999966000289/2, -999966000289/3, -999966000289/4, "
+        "-999966000289/6, -999966000289/12, -999983, -999983/2, -999983/3, -999983/4, "
+        "-999983/6, -999983/12, -1, -1/2, -1/3, -1/4, -1/6, -1/12, 1/12, 1/6, 1/4, 1/3, "
+        "1/2, 1, 999983/12, 999983/6, 999983/4, 999983/3, 999983/2, 999983, "
+        "999966000289/12, 999966000289/6, 999966000289/4, 999966000289/3, "
+        "999966000289/2, 999966000289\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected", TRANSCRIPTS_NEAR_10_12, ids=["verdict-root", "verdict-no-root", "rrt"]
+)
+def test_main_transcripts_near_10_12(capsys, argv, expected):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_main_bad_poly(capsys):
     assert main(["verdict", "[1, 2]"]) == 1
     assert "ValueError" in capsys.readouterr().err
@@ -491,3 +546,20 @@ def test_main_run(tmp_path, capsys):
     script.write_text("rrt [-2,0,0,1]\n")
     assert main(["run", str(script)]) == 0
     assert "candidates: -2, -1, 1, 2" in capsys.readouterr().out
+
+
+def test_cli_imports_no_test_only_package():
+    # sympy and hypothesis are test oracles (the `test` extra), never runtime imports
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, qtower.cli; "
+        "print(sorted({m.partition('.')[0] for m in sys.modules} & {'sympy', 'hypothesis'}))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout == "[]\n"

@@ -1,12 +1,21 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.ntheory.primetest import is_strong_lucas_prp
 
-from qtower.exactnum import divisors, format_rational, parse_integer, parse_rational
-
-
-def brute_divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
+from helpers import trial_divisors
+from qtower.exactnum import (
+    _is_strong_lucas_probable_prime,
+    divisors,
+    format_rational,
+    parse_integer,
+    parse_rational,
+)
 
 
 def test_divisors_examples():
@@ -23,11 +32,66 @@ def test_divisors_rejects_nonpositive():
 
 
 def test_divisors_against_brute_force():
-    for n in range(1, 1201):
-        assert divisors(n) == brute_divisors(n)
-    # spot-check larger arguments against full trial division
-    for n in (360360, 999983):
-        assert divisors(n) == brute_divisors(n)
+    rng = random.Random(9)
+    larger = [rng.randrange(1, 10**9) for _ in range(100)]
+    for n in list(range(1, 1201)) + [360360, 999983, 735134400, 10**9 - 1] + larger:
+        assert divisors(n) == trial_divisors(n), n
+
+
+def test_divisors_against_sympy_up_to_10_24():
+    rng = random.Random(24)
+    for _ in range(200):
+        n = rng.randrange(1, 10 ** rng.randint(1, 24))
+        assert divisors(n) == sympy.divisors(n), n
+
+
+PSI_13 = 3317044064679887385961981  # least composite that is a strong probable prime to 2..41
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        561,  # Carmichael numbers
+        41041,
+        3215031751,  # strong pseudoprime to the bases 2, 3, 5, 7
+        3825123056546413051,  # strong pseudoprime to the bases 2 to 23
+        999983**2,
+        999983**3,
+        999983 * 999979,
+        2**80,
+        999999999989,  # the largest prime below 10^12
+        10**24,
+        PSI_13,  # = 1287836182261 * 2575672364521, only the Lucas test sees it
+        2**89 - 1,  # primes above PSI_13
+        2**127 - 1,
+        (2**61 - 1) * (2**31 - 1),
+    ],
+)
+def test_divisors_hard_cases(n):
+    assert divisors(n) == sympy.divisors(n)
+
+
+def test_strong_lucas_test_against_sympy():
+    # includes the strong Lucas pseudoprimes 5459, 5777, 10877, 16109, 18971
+    for n in range(101, 30001, 2):
+        assert _is_strong_lucas_probable_prime(n) == is_strong_lucas_prp(n), n
+
+
+PLANTED_PRIMES = (2, 3, 5, 7, 97, 101, 65537, 999979, 999983)
+
+
+@settings(database=None, derandomize=True, deadline=None)
+@given(
+    st.lists(st.integers(0, 3), min_size=len(PLANTED_PRIMES), max_size=len(PLANTED_PRIMES)),
+    # 2^61 - 1 is CPython's modulus for hashing ints: a set of divisors would go quadratic
+    st.sampled_from((1, 999999999989, 2**61 - 1)),
+)
+def test_divisors_of_planted_factorizations(exponents, big):
+    n = big * math.prod(p**e for p, e in zip(PLANTED_PRIMES, exponents))
+    divs = divisors(n)
+    assert all(a < b for a, b in zip(divs, divs[1:]))
+    assert all(n % d == 0 for d in divs)
+    assert len(divs) == (2 if big > 1 else 1) * math.prod(e + 1 for e in exponents)
 
 
 def test_parse_rational():

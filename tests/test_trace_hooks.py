@@ -7,6 +7,8 @@ import pytest
 import qtower.cli as cli
 import qtower.poly as poly
 import qtower.tower as tower
+from qtower.exactnum import divisors
+from qtower.parser import parse_poly
 
 HOOKS = [
     (cli, name)
@@ -46,3 +48,17 @@ HOOKS += [
 )
 def test_traced_function_exists(owner, name):
     assert callable(getattr(owner, name, None))
+
+
+def test_rrt_candidates_reads_divisors_from_the_poly_module(monkeypatch):
+    # the tracer counts exactnum.divisors by patching poly.divisors
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return divisors(n)
+
+    monkeypatch.setattr(poly, "divisors", counted)
+    candidates = poly.rrt_candidates(parse_poly("[-999962000357, 0, 0, 12]"))
+    assert calls == [12, 999962000357]
+    assert len(candidates) == 2 * 4 * 6
