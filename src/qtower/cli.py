@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field, replace
-
-import mpmath
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_UP, Context
+from fractions import Fraction
 
 from .errors import QTowerError
 from .exactnum import parse_integer
@@ -25,6 +25,8 @@ from .poly import (
 from .tower import Tower, TowerElement, format_coords, load_tower, save_tower, strip_comment
 
 MODES = ("coords", "decimal", "both")
+
+_DECIMAL = Context(prec=15, rounding=ROUND_HALF_UP, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 HELP_TEXT = """\
 commands:
@@ -72,12 +74,23 @@ def positive_bits(text: str) -> int:
     return Session(precision=bits).precision  # Session checks the value
 
 
-def _format_decimal(value) -> str:
-    """15 significant digits, deterministic, trailing zeros kept: mpmath
-    rounds the mantissa to exactly 15 digits and always writes a '.'."""
+def _format_decimal(value: Fraction) -> str:
+    """15 significant digits, rounded half up, trailing zeros kept: fixed
+    point for decimal exponents -5 < e < 15, else d.dddde+N, as mpmath's
+    nstr lays them out."""
     if value == 0:
         return "0.000000000000000"
-    return mpmath.nstr(value, 15, strip_zeros=False)
+    n, d = abs(value.numerator), value.denominator
+    # |value| cut to q*10^-s, q of at least 17 digits: every tie lies on a
+    # multiple of 10^-s, so half up rounds q*10^-s as it rounds |value|
+    s = 18 - (n.bit_length() - d.bit_length()) * 30103 // 100000
+    q = n * 10**s // d if s >= 0 else n // (d * 10**-s)
+    sign = "-" if value < 0 else ""
+    rounded = _DECIMAL.create_decimal(f"{sign}{q}e{-s}")
+    e = rounded.adjusted()
+    if not -5 < e < 15:
+        return f"{rounded:e}"
+    return f"{rounded:f}" + ("." if e == 14 else "")
 
 
 def format_element(x: TowerElement, session: Session) -> str:
@@ -356,44 +369,28 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run a command script")
     p_run.add_argument("script")
     p_run.add_argument("--quiet", action="store_true", help="do not echo commands")
-    for p in (p_repl, p_run):
-        p.add_argument("--tower", help="tower file to preload")
-        p.add_argument("--precision", type=positive_bits, help="approximation bits (default 113)")
-        p.add_argument("--mode", choices=MODES, help="output mode (default both)")
-
     p_verdict = sub.add_parser("verdict", help="constructibility verdict for a cubic")
     p_verdict.add_argument("poly", help="e.g. '[-2, 0, 0, 1]' for x^3 - 2")
     p_rrt = sub.add_parser("rrt", help="rational-root candidates of a cubic")
     p_rrt.add_argument("poly")
-
     p_eval = sub.add_parser("eval", help="evaluate one expression")
     p_eval.add_argument("expr")
-    p_eval.add_argument("--tower", help="tower file to load first")
-    p_eval.add_argument("--precision", type=positive_bits)
-    p_eval.add_argument("--mode", choices=MODES)
+    for p in (p_repl, p_run, p_eval):
+        p.add_argument("--tower", help="tower file to preload")
+        p.add_argument("--precision", type=positive_bits, help="approximation bits (default 113)")
+        p.add_argument("--mode", choices=MODES, help="output mode (default both)")
 
     args = parser.parse_args(argv)
 
+    if args.command in ("verdict", "rrt"):
+        return _one_shot(f"{args.command} {args.poly}")
     if args.command == "run":
-        return run_batch(
-            args.script,
-            tower_path=args.tower,
-            precision=args.precision,
-            mode=args.mode,
-            quiet=args.quiet,
-        )
-    if args.command == "repl":
-        session, status = _initial_session(args.tower, args.precision, args.mode)
-        if session is None:
-            return status
-        return repl(session)
-    if args.command == "verdict":
-        return _one_shot(f"verdict {args.poly}")
-    if args.command == "rrt":
-        return _one_shot(f"rrt {args.poly}")
+        return run_batch(args.script, args.tower, args.precision, args.mode, args.quiet)
     session, status = _initial_session(args.tower, args.precision, args.mode)
     if session is None:
         return status
+    if args.command == "repl":
+        return repl(session)
     return _one_shot(f"eval {args.expr}", session)
 
 

@@ -85,22 +85,12 @@ def poly_eval(p: Polynomial, x, tower: Tower | None = None):
     if isinstance(x, TowerElement):
         if tower is None:
             raise ValueError("evaluation at a tower element needs the tower")
-        if x.level > tower.depth:
-            raise LevelMismatch(
-                f"point at level {x.level} exceeds tower depth {tower.depth}"
-            )
-        lifted = []
-        for c in p.coeffs:
-            if isinstance(c, TowerElement):
-                if c.level > x.level:
-                    raise LevelMismatch(
-                        f"coefficient level {c.level} above point level {x.level}"
-                    )
-                lifted.append(tower.lift_to(c, x.level))
-            else:
-                lifted.append(tower.embed(c, x.level))
-        acc = TowerElement.zero(x.level)
-        for c in reversed(lifted):
+        lifted = [
+            tower.lift_to(c, x.level) if isinstance(c, TowerElement) else tower.embed(c, x.level)
+            for c in p.coeffs
+        ]
+        acc = lifted[-1]
+        for c in reversed(lifted[:-1]):
             acc = tower.mul(acc, x) + c
         return acc
     if not p.is_rational:

@@ -43,8 +43,6 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .errors import (
     DivisionByZero,
     InvalidTower,
@@ -232,10 +230,6 @@ class TowerElement:
             )
         object.__setattr__(self, "coords", coords)
 
-    @classmethod
-    def zero(cls, level: int) -> TowerElement:
-        return cls(level, (_ZERO,) * (1 << level))
-
     @property
     def is_zero(self) -> bool:
         return not any(self.coords)
@@ -373,12 +367,6 @@ class Tower:
 
     # -- construction -----------------------------------------------------
 
-    def square(self, i: int) -> TowerElement:
-        """g_i^2 as an element of level i-1."""
-        if not 1 <= i <= self.depth:
-            raise LevelMismatch(f"no generator g{i} in a depth-{self.depth} tower")
-        return TowerElement(i - 1, self.levels[i - 1])
-
     def generator(self, i: int) -> TowerElement:
         """g_i as an element of level i (a single basis coordinate)."""
         if not 1 <= i <= self.depth:
@@ -399,15 +387,8 @@ class Tower:
     def one(self, level: int | None = None) -> TowerElement:
         return self.embed(1, level)
 
-    def lift(self, x: TowerElement) -> TowerElement:
-        """Zero-pad x one level up; the value it denotes is unchanged."""
-        if x.level >= self.depth:
-            raise LevelMismatch(
-                f"cannot lift above the top level (depth {self.depth})"
-            )
-        return TowerElement(x.level + 1, x.coords + (_ZERO,) * len(x.coords))
-
     def lift_to(self, x: TowerElement, level: int) -> TowerElement:
+        """Zero-pad x up to `level`; the value it denotes is unchanged."""
         if not x.level <= level <= self.depth:
             raise LevelMismatch(
                 f"cannot lift level {x.level} to level {level} (depth {self.depth})"
@@ -474,13 +455,15 @@ class Tower:
                 witness=root,
             )
         ext = self._extended(e)
-        g = ext.generator(ext.depth)
-        root = ext.lift(shift) + g if branch == "+" else ext.lift(shift) - g
+        top = ext.depth
+        g = ext.generator(top)
+        shift = ext.lift_to(shift, top)
+        root = shift + g if branch == "+" else shift - g
         # Horner check; by construction this is exact, so a failure means
         # a broken invariant in the tower we extended.
-        acc = ext.lift(c2)
+        acc = ext.lift_to(c2, top)
         for c in (c1, c0):
-            acc = ext.mul(acc, root) + ext.lift(c)
+            acc = ext.mul(acc, root) + ext.lift_to(c, top)
         if not acc.is_zero:
             raise InvalidTower("completed-square root fails to satisfy the quadratic")
         return ext, root
@@ -587,38 +570,66 @@ class Tower:
             return None
         return TowerElement(j, x.coords[: 1 << j])
 
-    def approx(self, x: TowerElement, precision: int = 113):
-        """Binary floating approximation of x at the given working
-        precision (bits, round to nearest). Each generator evaluates as
-        the positive square root of its recursively approximated square;
-        x is then the dot product of its coordinates with the basis.
+    def approx(self, x: TowerElement, precision: int = 113) -> Fraction:
+        """x rounded to `precision` significant bits, to nearest with ties
+        to even, as a Fraction.
+
+        Ziv's strategy on integer enclosures at `bits` fractional bits:
+        each rescaled generator is enclosed by the integer square root of
+        an enclosure of its square, each basis product by the products of
+        those bounds, and x by a signed dot product. The guard bits double
+        until both ends of x's enclosure round to the same value, which by
+        monotone rounding is x rounded. An irrational x is no tie, and a
+        rational tie is dyadic, so enough bits enclose it exactly: the loop
+        ends for every x != 0.
 
         Diagnostic only: no exact decision in this package consults it.
         """
-        self._check_member(x)
         if precision < 1:
             raise ValueError("precision must be a positive number of bits")
-        with mpmath.workprec(precision):
-            gens = []
-            for sq in self.levels[: x.level]:
-                gens.append(mpmath.sqrt(_approx_coords(sq, gens)))
-            return +_approx_coords(x.coords, gens)
+        v, d = self._enter(x)
+        if not any(v):
+            return _ZERO
+        guard = 32
+        while True:
+            bits = precision + guard
+            basis = [(1 << bits, 1 << bits)]  # basis vector j times 2^bits lies in basis[j]
+            for s in self._squares[: x.level]:
+                sl, sh = (s << bits, s << bits) if type(s) is int else _dot(s, basis)
+                # g*2^bits lies between the roots of sl*2^bits and sh*2^bits;
+                # the square root is concave, so the upper one is at most
+                # gl + 1 + (sh - sl)*2^bits/(2*gl)
+                gl = math.isqrt(sl << bits) if sl > 0 else 0
+                if gl:
+                    gh = gl + 1 - (-((sh - sl) << bits) // (2 * gl))
+                else:
+                    gh = math.isqrt(sh << bits) + 1
+                basis += [(gl, gh)] + [(l * gl >> bits, -(-h * gh >> bits)) for l, h in basis[1:]]
+            lo, hi = _dot(v, basis)
+            # rounding keeps signs and zero, so equal ends are nonzero
+            n = _round(lo // d, precision)
+            if n == _round(-(-hi // d), precision):
+                return Fraction(n, 1 << bits)
+            guard *= 2
 
 
-def _approx_coords(coords, gens):
-    total = mpmath.mpf(0)
-    for j, c in enumerate(coords):
-        if c == 0:
-            continue
-        term = mpmath.mpf(c.numerator) / c.denominator
-        mask, i = j, 0
-        while mask:
-            if mask & 1:
-                term *= gens[i]
-            mask >>= 1
-            i += 1
-        total += term
-    return total
+def _dot(v, basis):
+    """Bounds of the dot product of the integer vector v with the
+    nonnegative intervals in basis."""
+    lo = sum([c * (l if c > 0 else h) for c, (l, h) in zip(v, basis)])
+    hi = sum([c * (h if c > 0 else l) for c, (l, h) in zip(v, basis)])
+    return lo, hi
+
+
+def _round(n, precision):
+    """n rounded to `precision` significant bits, to nearest with ties to
+    even: adding half less one, and one more when the kept part is odd,
+    carries exactly when the dropped part calls for rounding up."""
+    a = abs(n)
+    e = a.bit_length() - precision
+    if e > 0:
+        a = (a + (1 << (e - 1)) - 1 + (a >> e & 1)) >> e << e
+    return a if n > 0 else -a
 
 
 # -- text formats -----------------------------------------------------------

@@ -5,12 +5,14 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import mpmath
 import pytest
 
+from helpers import random_element, random_tower
 from qtower.cli import (
     CommandError,
     Session,
@@ -46,21 +48,99 @@ def test_format_element_decimal_mode():
     assert format_element(s.tower.embed(0), s) == "0.000000000000000"
 
 
+def _exact(v):
+    return Fraction(*mpmath.libmp.to_rational(v._mpf_))
+
+
+def _rounds_half_up(text, exact):
+    """True when text is exact rounded half up to its 15 significant digits."""
+    shown = Decimal(text)
+    half_ulp = Fraction(10) ** shown.as_tuple().exponent / 2
+    err = abs(Fraction(shown) - exact)
+    return len(shown.as_tuple().digits) == 15 and (
+        err < half_ulp or (err == half_ulp and abs(Fraction(shown)) > abs(exact))
+    )
+
+
 def test_format_decimal_is_mpmath_at_15_digits():
-    # nstr rounds the mantissa to exactly 15 digits and always writes a '.',
-    # at any working precision and magnitude; a format change must fail here
-    assert _format_decimal(mpmath.mpf(0)) == "0.000000000000000"
-    shape = re.compile(r"-?(\d+)\.(\d*)(e[+-]\d+)?$")
+    # the exact value of each mpf prints as mpmath's nstr prints it, except
+    # where nstr is off: it rounds a truncated 18-digit expansion, which can
+    # land on the wrong side of a decimal tie
+    assert _format_decimal(Fraction(0)) == "0.000000000000000"
     rng = random.Random(5)
     for bits in list(range(1, 65)) + [113, 200, 1000, 4096]:
         with mpmath.workprec(bits):
             for exp10 in range(-40, 41, 4):
                 value = mpmath.mpf(rng.randint(1, 10**20)) * mpmath.mpf(10) ** (exp10 - 20)
                 for v in (value, -value):
-                    text = _format_decimal(v)
-                    m = shape.match(text)
-                    assert m, (bits, text)
-                    assert len((m.group(1) + m.group(2)).lstrip("0")) == 15, (bits, text)
+                    text, want = _format_decimal(_exact(v)), mpmath.nstr(v, 15, strip_zeros=False)
+                    if text != want:
+                        assert _rounds_half_up(text, _exact(v)), (bits, text)
+                        assert not _rounds_half_up(want, _exact(v)), (bits, want)
+
+
+@pytest.mark.parametrize(
+    "literal, bits, text",
+    [
+        ("-9283978771915.635", 256, "-9283978771915.64"),
+        ("0.123456789012345500", 113, "0.123456789012346"),
+    ],
+)
+def test_format_decimal_rounds_ties_nstr_misses(literal, bits, text):
+    # the mpf lies just beyond the decimal tie, so half up rounds away from
+    # zero; nstr, working from an expansion cut short, rounds toward zero
+    with mpmath.workprec(bits):
+        v = mpmath.mpf(literal)
+    exact = _exact(v)
+    assert abs(exact) > abs(Fraction(literal))
+    assert _format_decimal(exact) == text
+    assert _rounds_half_up(text, exact)
+    nstr = mpmath.nstr(v, 15, strip_zeros=False)
+    assert nstr != text and not _rounds_half_up(nstr, exact)
+
+
+def test_format_decimal_layout():
+    # fixed point for -5 < e < 15, also where rounding carries into the next
+    # decade, as nstr lays it out
+    for e in range(-8, 19):
+        for mantissa in ("1", "9.9999999999999996", "1.23456789012345678", "4.5"):
+            with mpmath.workprec(200):
+                v = mpmath.mpf(f"-{mantissa}e{e}")
+            assert _format_decimal(_exact(v)) == mpmath.nstr(v, 15, strip_zeros=False)
+    assert _format_decimal(Fraction(123456789012345)) == "123456789012345."
+    assert _format_decimal(Fraction(10**16 - 1)) == "1.00000000000000e+16"
+    assert _format_decimal(Fraction(-123, 10**6)) == "-0.000123000000000000"
+    assert _format_decimal(Fraction(123, 10**7)) == "1.23000000000000e-5"
+    assert _format_decimal(Fraction(1, 3 * 10**400)) == "3.33333333333333e-401"
+    assert _format_decimal(Fraction(2) ** 5000).endswith("e+1505")
+
+
+@pytest.mark.parametrize(
+    "e, text",
+    [(4, "6.46982078388202e-48"), (8, "4.18585809755517e-95"), (16, "1.75214080128682e-189")],
+)
+def test_decimal_of_a_cancelling_power_agrees_with_sign(e, text):
+    # (sqrt2 - 665857/470832)^e cancels in every fixed working precision
+    # below its size; the enclosure widens until the digits are right
+    s = replace(session_with_sqrt2(), mode="decimal")
+    expr = f"(g1 - 665857/470832)^{e}"
+    assert execute(s, f"eval {expr}")[1] == text
+    assert execute(s, f"sign {expr}")[1] == "1"
+
+
+def test_printed_decimal_has_the_exact_sign():
+    rng = random.Random(61)
+    for depth in (1, 2, 3, 4):
+        t = random_tower(rng, depth)
+        s = Session(tower=t, mode="decimal")
+        for _ in range(15):
+            x = random_element(rng, depth, bound=50)
+            if rng.random() < 0.5:  # cancel the leading bits
+                x = t.power(x - t.embed(t.approx(x, 30)), rng.randint(1, 4))
+            for y in (x, -x, x - x):
+                text, sign = format_element(y, s), t.exact_sign(y)
+                assert text.startswith("-") == (sign < 0)
+                assert (text == "0.000000000000000") == (sign == 0)
 
 
 def test_format_element_both_mode():
@@ -549,11 +629,14 @@ def test_main_run(tmp_path, capsys):
 
 
 def test_cli_imports_no_test_only_package():
-    # sympy and hypothesis are test oracles (the `test` extra), never runtime imports
+    # sympy, hypothesis and mpmath are test oracles (the `test` extra), never
+    # runtime imports, not even to render a decimal
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
-        "import sys, qtower.cli; "
-        "print(sorted({m.partition('.')[0] for m in sys.modules} & {'sympy', 'hypothesis'}))"
+        "import sys, qtower.cli as cli; "
+        "print(cli.execute(cli.Session(mode='decimal'), 'eval 1/3')[1]); "
+        "print(sorted({m.partition('.')[0] for m in sys.modules}"
+        " & {'sympy', 'hypothesis', 'mpmath'}))"
     )
     done = subprocess.run(
         [sys.executable, "-c", code],
@@ -562,4 +645,4 @@ def test_cli_imports_no_test_only_package():
         text=True,
         check=True,
     )
-    assert done.stdout == "[]\n"
+    assert done.stdout == "0.333333333333333\n[]\n"

@@ -42,7 +42,7 @@ def test_element_construction():
         TowerElement(1, (Fraction(1),))
     with pytest.raises(ValueError):
         TowerElement(-1, ())
-    assert TowerElement.zero(2).is_zero
+    assert elt(2, 0, 0, 0, 0).is_zero
 
 
 def test_element_add_neg():
@@ -79,7 +79,7 @@ def test_subfield_extension_parts():
 def test_conjugate():
     assert elt(1, 3, 4).conjugate() == elt(1, 3, -4)
     y = elt(0, 7)
-    lifted = Q_SQRT2.lift(y)
+    lifted = Q_SQRT2.lift_to(y, 1)
     assert lifted.conjugate() == lifted
     rng = random.Random(3)
     for _ in range(20):
@@ -155,7 +155,7 @@ def test_adjoin_quadratic_root_over_q_sqrt2():
     assert ext.levels[1] == (Fraction(3, 2), Fraction(0))
     assert root == elt(2, 0, Fraction(1, 2), 1, 0)
     # exact root check: root^2 - sqrt2*root - 1 = 0
-    val = ext.mul(root, root) + ext.mul(ext.lift(c1), root) + ext.lift(c0)
+    val = ext.mul(root, root) + ext.mul(ext.lift_to(c1, 2), root) + ext.lift_to(c0, 2)
     assert val.is_zero
     want = (math.sqrt(2) + math.sqrt(6)) / 2
     assert abs(float(ext.approx(root, 53)) - want) < 1e-12
@@ -254,16 +254,19 @@ def test_embed_and_lift():
     assert t2.embed(1) == elt(2, 1, 0, 0, 0)
 
     x = elt(1, 3, 1)
-    assert t2.lift(x) == elt(2, 3, 1, 0, 0)
-    assert Q_SQRT2.lift(elt(0, 5)) == elt(1, 5, 0)
+    assert t2.lift_to(x, 2) == elt(2, 3, 1, 0, 0)
+    assert t2.lift_to(x, 1) == x
+    assert Q_SQRT2.lift_to(elt(0, 5), 1) == elt(1, 5, 0)
     with pytest.raises(LevelMismatch):
-        Q_SQRT2.lift(elt(1, 1, 1))
+        Q_SQRT2.lift_to(elt(1, 1, 1), 2)
+    with pytest.raises(LevelMismatch):
+        t2.lift_to(x, 0)
     assert t2.lift_to(elt(0, 5), 2) == elt(2, 5, 0, 0, 0)
 
     rng = random.Random(5)
     for _ in range(20):
         y = random_element(rng, 1)
-        lifted = t2.lift(y)
+        lifted = t2.lift_to(y, 2)
         assert lifted.extension_part().is_zero
         assert lifted.subfield_part() == y
 
@@ -285,7 +288,7 @@ def test_mul_identity_annihilator():
     rng = random.Random(9)
     t = random_tower(rng, 3)
     one = t.one()
-    zero = TowerElement.zero(3)
+    zero = elt(3, *[0] * 8)
     for _ in range(10):
         x = random_element(rng, 3)
         assert t.mul(x, one) == x
@@ -296,7 +299,7 @@ def test_inv_examples():
     assert Q_SQRT2.inv(elt(1, 0, 1)) == elt(1, 0, Fraction(1, 2))
     assert Q_SQRT2.inv(elt(1, 1, 0)) == elt(1, 1, 0)
     with pytest.raises(DivisionByZero):
-        Q_SQRT2.inv(TowerElement.zero(1))
+        Q_SQRT2.inv(elt(1, 0, 0))
     with pytest.raises(DivisionByZero):
         Q.inv(elt(0, 0))
 
@@ -334,12 +337,12 @@ def test_power():
     assert Q_SQRT2.power(g, 4) == elt(1, 4, 0)
     assert Q_SQRT2.power(g, -2) == elt(1, Fraction(1, 2), 0)
     with pytest.raises(DivisionByZero):
-        Q_SQRT2.power(TowerElement.zero(1), -1)
+        Q_SQRT2.power(elt(1, 0, 0), -1)
 
 
 def test_exact_sign_examples():
     assert Q_SQRT2.exact_sign(elt(1, 1, -1)) == -1  # 1 - sqrt2 < 0
-    assert Q_SQRT2.exact_sign(TowerElement.zero(1)) == 0
+    assert Q_SQRT2.exact_sign(elt(1, 0, 0)) == 0
     assert Q_SQRT2.exact_sign(elt(1, -1, 1)) == 1  # sqrt2 - 1 > 0
     assert Q.exact_sign(elt(0, Fraction(-3, 7))) == -1
     rng = random.Random(13)
@@ -367,7 +370,7 @@ def test_is_square_examples():
 
     assert Q.is_square(Q.embed(2)) is None
     assert Q.is_square(Q.embed(Fraction(9, 4))) == Q.embed(Fraction(3, 2))
-    assert Q_SQRT2.is_square(TowerElement.zero(1)) == TowerElement.zero(1)
+    assert Q_SQRT2.is_square(elt(1, 0, 0)) == elt(1, 0, 0)
     # the generator's square has the pure-extension witness
     assert Q_SQRT2.is_square(Q_SQRT2.embed(2)) == Q_SQRT2.generator(1)
 
@@ -390,7 +393,7 @@ def test_sqrt_is_the_nonnegative_root():
     assert Q_SQRT2.is_square(x) == elt(1, 1, -1)
     assert Q_SQRT2.sqrt(x) == elt(1, -1, 1)
     assert Q_SQRT2.sqrt(Q_SQRT2.embed(2)) == g
-    assert Q_SQRT2.sqrt(TowerElement.zero(1)) == TowerElement.zero(1)
+    assert Q_SQRT2.sqrt(elt(1, 0, 0)) == elt(1, 0, 0)
     assert Q.sqrt(Q.embed(Fraction(9, 4))) == Q.embed(Fraction(3, 2))
 
 
@@ -414,7 +417,7 @@ def test_sqrt_of_square_is_plus_or_minus_x():
 
 def test_member_of_level():
     t2 = Tower(((Fraction(2),), (Fraction(3), Fraction(0))))
-    x = t2.lift(Q_SQRT2.lift(elt(0, 5)))
+    x = t2.lift_to(elt(0, 5), 2)
     assert t2.member_of_level(x, 0) == elt(0, 5)
     sqrt2_up = elt(2, 0, 1, 0, 0)
     assert t2.member_of_level(sqrt2_up, 0) is None
@@ -426,10 +429,73 @@ def test_member_of_level():
 
 def test_approx_examples():
     g = Q_SQRT2.generator(1)
-    assert abs(float(Q_SQRT2.approx(g, 53)) - math.sqrt(2)) < 1e-12
-    assert float(Q.approx(Q.embed(Fraction(3, 4)))) == 0.75
+    assert Q_SQRT2.approx(g, 53) == Fraction(math.sqrt(2))
+    assert Q.approx(Q.embed(Fraction(3, 4))) == Fraction(3, 4)
+    assert Q.approx(Q.embed(Fraction(1, 3)), 10) == Fraction(683, 2048)
+    assert Q_SQRT2.approx(elt(1, 0, 0)) == 0
     with pytest.raises(ValueError):
         Q.approx(Q.embed(1), 0)
+    with pytest.raises(LevelMismatch):
+        Q.approx(g)
+
+
+def _mpmath_value(levels, coords):
+    """The real number coords denote, evaluated in mpmath at its working
+    precision: each generator the square root of its evaluated square."""
+    def dot(cs, vs):
+        return mpmath.fsum(mpmath.mpf(c.numerator) / c.denominator * v for c, v in zip(cs, vs))
+
+    basis = [mpmath.mpf(1)]
+    for sq in levels[: len(coords).bit_length() - 1]:
+        g = mpmath.sqrt(dot(sq, basis))
+        basis += [b * g for b in basis]
+    return dot(coords, basis)
+
+
+def _rounded(value, bits):
+    return Fraction(*mpmath.libmp.to_rational(mpmath.libmp.mpf_pos(value._mpf_, bits, "n")))
+
+
+def test_approx_is_correctly_rounded():
+    # the value at 3000 bits, rounded once to p bits, is x rounded to p bits
+    # unless x lies within 2^-2900 of a tie, which no such input does
+    rng = random.Random(53)
+    for depth in (1, 2, 3, 4):
+        t = random_tower(rng, depth)
+        for _ in range(12):
+            x = random_element(rng, depth, bound=50, nonzero=True)
+            if rng.random() < 0.5:
+                x = t.power(x - t.embed(t.approx(x, 20)), 3)  # a cancelling element
+            with mpmath.workprec(3000):
+                value = _mpmath_value(t.levels, x.coords)
+            for bits in (10, 53, 113):
+                assert t.approx(x, bits) == _rounded(value, bits), (depth, bits)
+
+
+def test_approx_of_a_generator_with_a_tiny_square():
+    # g2^2 = (665857/470832 - g1)^15 is about 1e-89, below the first
+    # enclosure's resolution, so its lower bound starts at zero
+    x = Q_SQRT2.embed(Fraction(665857, 470832)) - Q_SQRT2.generator(1)
+    t = Q_SQRT2.adjoin_sqrt(Q_SQRT2.power(x, 15))
+    with mpmath.workprec(3000):
+        value = _mpmath_value(t.levels, t.generator(2).coords)
+    for bits in (10, 53, 113):
+        assert t.approx(t.generator(2), bits) == _rounded(value, bits)
+
+
+def test_approx_of_rationals_rounds_ties_to_even():
+    rng = random.Random(59)
+    t = random_tower(rng, 2)
+    for bits in (1, 2, 10, 53, 113):
+        for _ in range(30):
+            if rng.random() < 0.5:  # an odd numerator of bits + 1 bits is a tie
+                tie = rng.randrange(1 << bits, 1 << (bits + 1)) | 1
+                q = Fraction(tie, 1 << rng.randint(0, 300))
+            else:
+                q = Fraction(rng.randint(1, 10**40), rng.randint(1, 10**40))
+            q = q if rng.random() < 0.5 else -q
+            want = mpmath.libmp.from_rational(q.numerator, q.denominator, bits, "n")
+            assert t.approx(t.embed(q), bits) == Fraction(*mpmath.libmp.to_rational(want))
 
 
 # -- algebraic properties ------------------------------------------------------
@@ -461,12 +527,12 @@ def test_unique_decomposition():
     for _ in range(20):
         a = random_element(rng, 1)
         b = random_element(rng, 1)
-        x = t.lift(a) + t.mul(t.lift(b), g)
+        x = t.lift_to(a, 2) + t.mul(t.lift_to(b, 2), g)
         assert x.subfield_part() == a
         assert x.extension_part() == b
     for _ in range(20):
         x = random_element(rng, 2)
-        rebuilt = t.lift(x.subfield_part()) + t.mul(t.lift(x.extension_part()), g)
+        rebuilt = t.lift_to(x.subfield_part(), 2) + t.mul(t.lift_to(x.extension_part(), 2), g)
         assert rebuilt == x
 
 
@@ -488,7 +554,7 @@ def test_product_split_identity():
     # low = a1*a2 + s*(b1*b2), high = a1*b2 + a2*b1
     rng = random.Random(37)
     t = random_tower(rng, 3)
-    s = t.square(3)
+    s = TowerElement(2, t.levels[2])
     for _ in range(15):
         x = random_element(rng, 3, bound=20)
         y = random_element(rng, 3, bound=20)
@@ -515,10 +581,9 @@ def test_numeric_consistency():
         x = random_element(rng, 2, bound=20, nonzero=True)
         y = random_element(rng, 2, bound=20)
         ax, ay = t.approx(x, 113), t.approx(y, 113)
-        with mpmath.workprec(113):
-            assert abs(t.approx(x + y, 113) - (ax + ay)) < 1e-25 * (1 + abs(ax) + abs(ay))
-            assert abs(t.approx(t.mul(x, y), 113) - ax * ay) < 1e-24 * (1 + abs(ax)) * (1 + abs(ay))
-            assert abs(t.approx(t.inv(x), 113) - 1 / ax) < 1e-20 * (1 + 1 / abs(ax))
+        assert abs(t.approx(x + y, 113) - (ax + ay)) < 1e-25 * (1 + abs(ax) + abs(ay))
+        assert abs(t.approx(t.mul(x, y), 113) - ax * ay) < 1e-24 * (1 + abs(ax)) * (1 + abs(ay))
+        assert abs(t.approx(t.inv(x), 113) - 1 / ax) < 1e-20 * (1 + 1 / abs(ax))
 
 
 # -- integer kernel against the schoolbook reference ---------------------------
