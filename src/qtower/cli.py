@@ -25,6 +25,7 @@ from .poly import (
 from .tower import Tower, TowerElement, format_coords, load_tower, save_tower, strip_comment
 
 MODES = ("coords", "decimal", "both")
+MAX_PRECISION = 65536  # bits; a depth-6 decimal still renders in well under a second
 
 _DECIMAL = Context(prec=15, rounding=ROUND_HALF_UP, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
@@ -41,7 +42,7 @@ commands:
   verdict [c0,c1,c2,c3]      constructibility verdict for a cubic
   descend [c0,c1,c2,c3] <e>  walk a tower root of a cubic down to Q
   let <name> = <expr>        bind a name (generators are g1, g2, ...)
-  set precision <bits>       approximation precision (default 113)
+  set precision <bits>       approximation precision (default 113, at most 65536)
   set mode <coords|decimal|both>
   save <path> / load <path>  tower file persistence
 note: unary minus binds tighter than * and / but looser than ^,
@@ -63,6 +64,8 @@ class Session:
         # the one check of precision, for the command line and library callers alike
         if self.precision < 1:
             raise ValueError("precision must be a positive number of bits")
+        if self.precision > MAX_PRECISION:
+            raise ValueError(f"precision exceeds {MAX_PRECISION} bits")
 
 
 def positive_bits(text: str) -> int:

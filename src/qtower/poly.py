@@ -136,7 +136,7 @@ def descend_cubic_root(p: Polynomial, tower: Tower, x0: TowerElement) -> Fractio
 def rrt_candidates(p: Polynomial) -> list[Fraction]:
     """Every rational that could be a root of the cubic: after clearing
     denominators to integer coefficients A0..A3, all +-n/d in lowest
-    terms with n | |A0| and d | |A3|, deduplicated ascending.
+    terms with n | |A0| and d | |A3|, each once, ascending.
 
     A zero constant term short-circuits to the single candidate 0 (which
     is then a root); the divisor rule degenerates there and no deeper
@@ -147,13 +147,13 @@ def rrt_candidates(p: Polynomial) -> list[Fraction]:
     a0, _, _, a3 = (int(c * scale) for c in cs)
     if a0 == 0:
         return [Fraction(0)]
-    candidates = set()
+    # each candidate once, as its coprime (n, d); no set, since CPython
+    # hashes all multiples of 2^61 - 1 alike
     dens = divisors(abs(a3))
-    for num in divisors(abs(a0)):
-        for den in dens:
-            candidates.add(Fraction(num, den))
-            candidates.add(Fraction(-num, den))
-    return sorted(candidates)
+    positive = sorted(
+        [Fraction(n, d) for n in divisors(abs(a0)) for d in dens if math.gcd(n, d) == 1]
+    )
+    return [-x for x in reversed(positive)] + positive
 
 
 def rational_roots_cubic(p: Polynomial) -> list[Fraction]:

@@ -29,8 +29,14 @@ products plus one product by s (Karatsuba on a + b*g):
 
 so a dense level-k product costs 4^k integer products on nested towers and
 3^k on towers whose squares are rational, where the product by s is a
-scalar multiple; products by zero halves are skipped. Inversion, signs and
+scalar multiple; products by zero halves are skipped. The recursion stops
+at level 2, whose product is written out in full. Inversion, signs and
 square roots recurse through the norm a^2 - s*b^2 on the same kernel.
+
+Each tower also holds an integer enclosure of its rescaled basis times
+2^64, built one level at a time by the step that `approx` uses at higher
+precision. A sign is read from the enclosure of x when that excludes
+zero, and found by the exact recursion otherwise; either way it is exact.
 
 Towers and elements are immutable; every operation is a pure function, so
 values are safe to share across threads.
@@ -78,7 +84,25 @@ def _times_square(v, k, squares):
 
 def _mul(a, b, k, squares):
     """The product of the level-k vectors a and b: three half-size
-    products and one product by s per level, fewer when a half is zero."""
+    products and one product by s per level, fewer when a half is zero.
+    Level 2 is inlined: its three level-1 products and the product by
+    s_2', which is an int or a level-1 vector."""
+    if k == 2:
+        s, t = squares[0], squares[1]
+        a0, a1, a2, a3 = a
+        b0, b1, b2, b3 = b
+        u, v = a0 * b0, a1 * b1
+        p0, p1 = u + s * v, (a0 + a1) * (b0 + b1) - u - v
+        u, v = a2 * b2, a3 * b3
+        q0, q1 = u + s * v, (a2 + a3) * (b2 + b3) - u - v
+        c0, c1, d0, d1 = a0 + a2, a1 + a3, b0 + b2, b1 + b3
+        u, v = c0 * d0, c1 * d1
+        r0, r1 = u + s * v - p0 - q0, (c0 + c1) * (d0 + d1) - u - v - p1 - q1
+        if type(t) is int:
+            return [p0 + t * q0, p1 + t * q1, r0, r1]
+        t0, t1 = t
+        u, v = t0 * q0, t1 * q1
+        return [p0 + u + s * v, p1 + (t0 + t1) * (q0 + q1) - u - v, r0, r1]
     if k == 1:
         a1, b1 = a
         a2, b2 = b
@@ -327,7 +351,7 @@ class Tower:
         # start as Q, adjoin every level in turn, then adopt the last
         # prefix's levels and rescaled basis
         levels, prefix = self.levels, self
-        vars(self).update(levels=(), _scales=(1,), _squares=())
+        vars(self).update(levels=(), _scales=(1,), _squares=(), _enclosure=_UNIT)
         for i, sq in enumerate(map(tuple, levels), start=1):
             try:
                 if len(sq) != 1 << (i - 1):
@@ -350,11 +374,13 @@ class Tower:
         coords = [c / p for c, p in zip(s.coords, self._scales)]
         d = math.lcm(*[c.denominator for c in coords])
         ints = [int(c * d * d) for c in coords]
+        square = ints if any(ints[1:]) else ints[0]
         tower = object.__new__(Tower)
         vars(tower).update(
             levels=self.levels + (s.coords,),
             _scales=self._scales + tuple([p * d for p in self._scales]),
-            _squares=self._squares + (ints if any(ints[1:]) else ints[0],),
+            _squares=self._squares + (square,),
+            _enclosure=_extend_basis(self._enclosure, square, _ENCLOSURE_BITS),
         )
         return tower
 
@@ -532,11 +558,19 @@ class Tower:
 
     def exact_sign(self, x: TowerElement) -> int:
         """The sign (-1, 0, +1) of the real number x denotes, decided
-        exactly. With x = a + b*g, g > 0: equal signs of a and b win
-        outright; otherwise the part with the larger magnitude wins, and
-        a^2 versus s*b^2 is compared one level down. Rescaled generators
-        stay positive, so the integer vector has the sign of x."""
-        return _sign(self._enter(x)[0], x.level, self._squares)
+        exactly. Rescaled generators stay positive, so the integer vector
+        has the sign of x. Its dot product with the tower's integer
+        enclosure of the basis decides the sign when the enclosure
+        excludes zero. Otherwise, with x = a + b*g, g > 0: equal signs of
+        a and b win outright; else the part with the larger magnitude
+        wins, and a^2 versus s*b^2 is compared one level down."""
+        v = self._enter(x)[0]
+        lo, hi = _dot(v, self._enclosure)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        return _sign(v, x.level, self._squares)
 
     def is_square(self, x: TowerElement) -> TowerElement | None:
         """A witness w with w*w = x exactly, or None when x is not a
@@ -574,16 +608,16 @@ class Tower:
         """x rounded to `precision` significant bits, to nearest with ties
         to even, as a Fraction.
 
-        Ziv's strategy on integer enclosures at `bits` fractional bits:
-        each rescaled generator is enclosed by the integer square root of
-        an enclosure of its square, each basis product by the products of
-        those bounds, and x by a signed dot product. The guard bits double
-        until both ends of x's enclosure round to the same value, which by
-        monotone rounding is x rounded. An irrational x is no tie, and a
-        rational tie is dyadic, so enough bits enclose it exactly: the loop
-        ends for every x != 0.
+        Ziv's strategy on integer enclosures of the rescaled basis at
+        `bits` fractional bits, built by `_extend_basis` as the tower's
+        own enclosure is, and x by a signed dot product. The guard bits
+        double until both ends of x's enclosure round to the same value,
+        which by monotone rounding is x rounded. An irrational x is no
+        tie, and a rational tie is dyadic, so enough bits enclose it
+        exactly: the loop ends for every x != 0.
 
-        Diagnostic only: no exact decision in this package consults it.
+        Diagnostic only: no exact decision in this package consults the
+        value; `exact_sign` shares only the enclosure step.
         """
         if precision < 1:
             raise ValueError("precision must be a positive number of bits")
@@ -593,24 +627,35 @@ class Tower:
         guard = 32
         while True:
             bits = precision + guard
-            basis = [(1 << bits, 1 << bits)]  # basis vector j times 2^bits lies in basis[j]
+            basis = ((1 << bits, 1 << bits),)
             for s in self._squares[: x.level]:
-                sl, sh = (s << bits, s << bits) if type(s) is int else _dot(s, basis)
-                # g*2^bits lies between the roots of sl*2^bits and sh*2^bits;
-                # the square root is concave, so the upper one is at most
-                # gl + 1 + (sh - sl)*2^bits/(2*gl)
-                gl = math.isqrt(sl << bits) if sl > 0 else 0
-                if gl:
-                    gh = gl + 1 - (-((sh - sl) << bits) // (2 * gl))
-                else:
-                    gh = math.isqrt(sh << bits) + 1
-                basis += [(gl, gh)] + [(l * gl >> bits, -(-h * gh >> bits)) for l, h in basis[1:]]
+                basis = _extend_basis(basis, s, bits)
             lo, hi = _dot(v, basis)
             # rounding keeps signs and zero, so equal ends are nonzero
             n = _round(lo // d, precision)
             if n == _round(-(-hi // d), precision):
                 return Fraction(n, 1 << bits)
             guard *= 2
+
+
+_ENCLOSURE_BITS = 64  # fractional bits of each tower's basis enclosure
+_UNIT = ((1 << _ENCLOSURE_BITS, 1 << _ENCLOSURE_BITS),)  # Q's basis, the 1
+
+
+def _extend_basis(basis, s, bits):
+    """The enclosure of the basis one level up: `basis` holds integer
+    intervals of the rescaled basis vectors times 2^bits, and s is the
+    rescaled square of the next generator g. g*2^bits lies between the
+    roots of sl*2^bits and sh*2^bits; the square root is concave, so the
+    upper one is at most gl + 1 + (sh - sl)*2^bits/(2*gl). Every basis
+    vector is positive, so products of bounds bound the products."""
+    sl, sh = (s << bits, s << bits) if type(s) is int else _dot(s, basis)
+    gl = math.isqrt(sl << bits) if sl > 0 else 0
+    if gl:
+        gh = gl + 1 - (-((sh - sl) << bits) // (2 * gl))
+    else:
+        gh = math.isqrt(sh << bits) + 1
+    return (*basis, (gl, gh), *[(l * gl >> bits, -(-h * gh >> bits)) for l, h in basis[1:]])
 
 
 def _dot(v, basis):

@@ -25,10 +25,10 @@ def random_element(rng, level, bound=100, nonzero=False):
             return elt
 
 
-def random_tower(rng, depth, bound=10):
-    """A valid tower of exactly the requested depth: each square is a
-    random positive non-square of the level below."""
-    t = Tower()
+def random_tower(rng, depth, bound=10, base=None):
+    """A valid tower of exactly the requested depth: each square above
+    `base` (default Q) is a random positive non-square of the level below."""
+    t = Tower() if base is None else base
     while t.depth < depth:
         cand = random_element(rng, t.depth, bound)
         if cand.is_zero:

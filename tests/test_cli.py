@@ -14,6 +14,7 @@ import pytest
 
 from helpers import random_element, random_tower
 from qtower.cli import (
+    MAX_PRECISION,
     CommandError,
     Session,
     _format_decimal,
@@ -515,6 +516,28 @@ def test_library_sessions_refuse_non_positive_precision(tmp_path, capsys, precis
     assert capsys.readouterr().err == (
         "cannot start session: precision must be a positive number of bits\n"
     )
+
+
+def test_precision_is_capped(tmp_path, capsys):
+    message = f"precision exceeds {MAX_PRECISION} bits"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Session(precision=10**6)
+    with pytest.raises(CommandError, match=f"^{message}$"):
+        execute(Session(), "set precision 1000000")
+    script = tmp_path / "script.qt"
+    script.write_text("eval 1/3\n")
+    assert run_batch(script, precision=10**6, out=io.StringIO()) == 2
+    assert capsys.readouterr().err == f"cannot start session: {message}\n"
+    with pytest.raises(SystemExit) as info:
+        main(["eval", "--precision", "1000000", "1/3"])
+    assert info.value.code == 2
+    assert "argument --precision: invalid positive_bits value: '1000000'" in capsys.readouterr().err
+    s, out = execute(Session(), f"set precision {MAX_PRECISION}")
+    assert out == f"precision = {MAX_PRECISION}"
+    s, out = execute(s, "set precision 4096")
+    assert out == "precision = 4096"
+    s, out = execute(s, "adjoin 2")
+    assert execute(s, "eval 1/g1")[1] == "[0, 1/2] ≈ 0.707106781186548"
 
 
 def test_run_batch_with_tower_and_flags(tmp_path):

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -151,6 +152,20 @@ def test_rrt_candidates_clears_denominators():
     # (x^3 - 2)/4 has the same candidates as x^3 - 2
     p = Polynomial((Fraction(-1, 2), 0, 0, Fraction(1, 4)))
     assert rrt_candidates(p) == [-2, -1, 1, 2]
+
+
+def test_rrt_candidates_with_hash_colliding_numerators():
+    # CPython hashes every multiple of the prime 2^61 - 1 alike, which made
+    # a set of candidates quadratic in their number (0.9 s here)
+    a0, a3 = 5040 * (2**61 - 1), 5040
+    start = time.perf_counter()
+    candidates = rrt_candidates(Polynomial((a0, 0, 1, a3)))
+    assert time.perf_counter() - start < 0.5
+    assert len(candidates) == 1620
+    assert all(x < y for x, y in zip(candidates, candidates[1:]))
+    assert candidates[810:] == [-x for x in reversed(candidates[:810])]
+    for x in candidates:
+        assert a0 % x.numerator == 0 and a3 % x.denominator == 0
 
 
 def test_rrt_candidates_degree_errors():

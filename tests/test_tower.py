@@ -15,6 +15,7 @@ from qtower.errors import (
     NotAProperExtension,
     TowerFormatError,
 )
+from qtower import tower as tower_module
 from qtower.tower import (
     Tower,
     TowerElement,
@@ -671,6 +672,142 @@ def test_is_square_with_fractional_inner_roots():
     square = TowerElement(3, ref_mul(t.levels, x.coords, x.coords))
     w = t.is_square(square)
     assert w in (x, -x)
+
+
+# -- the level-2 product and the enclosure sign filter -------------------------
+
+
+@pytest.mark.parametrize(
+    "s2, kind",
+    [((3, 0), int), ((Fraction(3, 4), 0), int), ((3, 1), list), ((Fraction(-5, 2), 9), list)],
+)
+def test_level_two_product_matches_schoolbook(s2, kind):
+    rng = random.Random(f"level-2-{s2}")
+    base = Tower(((Fraction(2, 9),), s2))
+    assert type(base._squares[1]) is kind
+    t = random_tower(rng, 4, base=base)
+    for level in (1, 2, 3, 4):
+        for _ in range(4):
+            x, y = random_element(rng, level), random_element(rng, level)
+            assert t.mul(x, y).coords == ref_mul(t.levels, x.coords, y.coords)
+    # every pattern of zero coordinates at level 2, on both sides
+    x, y = random_element(rng, 2, nonzero=True), random_element(rng, 2, nonzero=True)
+    for mask in range(16):
+        zx = elt(2, *[c if mask >> j & 1 else 0 for j, c in enumerate(x.coords)])
+        zy = elt(2, *[c if mask >> (3 - j) & 1 else 0 for j, c in enumerate(y.coords)])
+        assert t.mul(zx, zy).coords == ref_mul(t.levels, zx.coords, zy.coords)
+        assert t.mul(zx, y).coords == ref_mul(t.levels, zx.coords, y.coords)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3, 4])
+def test_built_and_adjoined_towers_share_the_enclosure(depth):
+    # Tower(levels) adopts the last prefix's basis, the enclosure included;
+    # with Q's enclosure left behind, exact_sign(1 - g1) in Q(sqrt(2)) is 1
+    rng = random.Random(f"enclosure-{depth}")
+    chained = random_tower(rng, depth)
+    built = Tower([list(sq) for sq in chained.levels])
+    assert built == chained
+    assert len(built._enclosure) == 1 << depth
+    assert built._enclosure == chained._enclosure
+    for level in range(depth + 1):
+        for _ in range(5):
+            x = random_element(rng, level)
+            for y in (x, x - built.embed(built.approx(x, 90), level)):
+                sign = ref_sign(built.levels, y.coords)
+                assert built.exact_sign(y) == chained.exact_sign(y) == sign
+    assert Tower(((2,),)).exact_sign(elt(1, 1, -1)) == -1
+
+
+def test_enclosure_contains_the_rescaled_basis():
+    # lo <= 2^64 * (basis vector j) <= hi, decided by the schoolbook sign
+    for t in (random_tower(random.Random(3), 3), kernel_tower("rational", random.Random(3), 4)):
+        for j, (lo, hi) in enumerate(t._enclosure):
+            n = 1 << j.bit_length()
+            for bound, side in ((lo, 1), (hi, -1)):
+                coords = [Fraction(0)] * n
+                coords[j] = Fraction(t._scales[j])
+                coords[0] -= Fraction(bound, 1 << 64)
+                assert side * ref_sign(t.levels, tuple(coords)) >= 0
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Counts the exact recursions that exact_sign falls back to."""
+    calls = []
+    exact = tower_module._sign
+
+    def counted(a, k, squares):
+        calls.append(k)
+        return exact(a, k, squares)
+
+    monkeypatch.setattr(tower_module, "_sign", counted)
+    return calls
+
+
+def signs_agree(t, xs, fallbacks):
+    """exact_sign agrees with the schoolbook sign on every x; returns how
+    many of them the enclosure decided and how many the recursion did."""
+    paths = {True: 0, False: 0}
+    for x in xs:
+        before = len(fallbacks)
+        assert t.exact_sign(x) == ref_sign(t.levels, x.coords)
+        paths[len(fallbacks) == before] += 1
+    return paths[True], paths[False]
+
+
+def sqrt_convergents(r, count):
+    """The first continued-fraction convergents of sqrt(r), r a positive
+    rational whose numerator times denominator n is no square: those of
+    sqrt(n), divided by r's denominator."""
+    n, a0 = r.numerator * r.denominator, math.isqrt(r.numerator * r.denominator)
+    m, d, a = 0, 1, a0
+    h, k, h1, k1 = a0, 1, 1, 0
+    for _ in range(count):
+        yield Fraction(h, k * r.denominator)
+        m = d * a - m
+        d = (n - m * m) // d
+        a = (a0 + m) // d
+        h, k, h1, k1 = a * h + h1, a * k + k1, h, k
+
+
+def test_sign_filter_on_powers_of_a_pell_difference(fallbacks):
+    t = Tower(((2,),))
+    x = t.generator(1) - t.embed(Fraction(665857, 470832))
+    powers = [t.power(x, k) for k in range(17)]
+    decided, fell_back = signs_agree(t, powers + [-p for p in powers], fallbacks)
+    assert decided and fell_back
+
+
+@pytest.mark.parametrize("squares", [(2, 3, 5, 7), RATIONAL_SQUARES[:4]])
+def test_sign_filter_on_convergent_differences(squares, fallbacks):
+    t = Tower()
+    for s in squares:
+        t = t.adjoin_sqrt(s)
+    g = [t.lift_to(t.generator(i), 4) for i in range(1, 5)]
+    roots = [(g[i], Fraction(squares[i])) for i in range(4)]
+    for i, j in ((0, 1), (1, 3), (2, 3)):
+        roots.append((t.mul(g[i], g[j]), Fraction(squares[i]) * squares[j]))
+    diffs = [x - t.embed(c) for x, r in roots for c in sqrt_convergents(r, 40)]
+    decided, fell_back = signs_agree(t, diffs, fallbacks)
+    assert decided and fell_back
+    rng = random.Random(f"convergents-{squares}")
+    products = [t.mul(*rng.sample(diffs, 2)) for _ in range(30)]
+    decided, fell_back = signs_agree(t, products, fallbacks)
+    assert decided and fell_back
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+def test_sign_filter_on_random_nested_towers(depth, fallbacks):
+    rng = random.Random(f"filter-{depth}")
+    t = random_tower(rng, depth)
+    xs = []
+    for _ in range(6):
+        x = random_element(rng, depth, nonzero=True)
+        # x minus a rational near it: the enclosure decides the 20-bit
+        # remainder, and the recursion the 100-bit one
+        xs += [x, x - x, x - t.embed(t.approx(x, 20)), x - t.embed(t.approx(x, 100))]
+    decided, fell_back = signs_agree(t, xs, fallbacks)
+    assert decided and fell_back
 
 
 # -- text formats --------------------------------------------------------------
