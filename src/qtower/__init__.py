@@ -12,7 +12,7 @@ from .errors import (
     QTowerError,
     TowerFormatError,
 )
-from .exactnum import divisors, format_rational, parse_rational
+from .exactnum import divisors, parse_rational
 from .parser import eval_expr, parse_expr, parse_poly, tokenize
 from .poly import (
     Outcome,

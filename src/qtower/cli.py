@@ -29,7 +29,7 @@ MAX_PRECISION = 65536  # bits; a depth-6 decimal still renders in well under a s
 
 _DECIMAL = Context(prec=15, rounding=ROUND_HALF_UP, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
-HELP_TEXT = """\
+HELP_TEXT = f"""\
 commands:
   adjoin <expr>              extend the tower by sqrt(<expr>)
   adjoin-root [c0,c1,c2] +|- extend by a root of a quadratic; binds 'last'
@@ -42,7 +42,7 @@ commands:
   verdict [c0,c1,c2,c3]      constructibility verdict for a cubic
   descend [c0,c1,c2,c3] <e>  walk a tower root of a cubic down to Q
   let <name> = <expr>        bind a name (generators are g1, g2, ...)
-  set precision <bits>       approximation precision (default 113, at most 65536)
+  set precision <bits>       approximation precision (default 113, at most {MAX_PRECISION})
   set mode <coords|decimal|both>
   save <path> / load <path>  tower file persistence
 note: unary minus binds tighter than * and / but looser than ^,
@@ -53,7 +53,7 @@ class CommandError(Exception):
     """A failed command, fully rendered; the session is unchanged."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Session:
     tower: Tower = field(default_factory=Tower)
     bindings: dict = field(default_factory=dict)
@@ -61,11 +61,13 @@ class Session:
     mode: str = "both"
 
     def __post_init__(self):
-        # the one check of precision, for the command line and library callers alike
-        if self.precision < 1:
+        # the one check of a session, for the command line and library callers alike
+        if type(self.precision) is not int or self.precision < 1:
             raise ValueError("precision must be a positive number of bits")
         if self.precision > MAX_PRECISION:
             raise ValueError(f"precision exceeds {MAX_PRECISION} bits")
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {', '.join(MODES)}")
 
 
 def positive_bits(text: str) -> int:
@@ -195,13 +197,13 @@ def _dispatch(session: Session, line: str) -> tuple[Session, str]:
 
     if word == "verdict":
         verdict = constructible_root_verdict(parse_poly(rest))
+        phrase = verdict.outcome.value
         shown = _rationals_str(verdict.candidates_checked)
         if verdict.outcome is Outcome.RATIONAL_ROOT_FOUND:
-            return session, f"rational root found: {verdict.root}; candidates checked: {shown}"
+            return session, f"{phrase}: {verdict.root}; candidates checked: {shown}"
         return session, (
-            f"no root in any quadratic extension tower; "
-            f"candidates checked: {shown} (all nonzero)\n"
-            "by: no rational root => no root in any quadratic extension tower"
+            f"{phrase}; candidates checked: {shown} (all nonzero)\n"
+            f"by: no rational root => {phrase}"
         )
 
     if word == "descend":
@@ -227,16 +229,14 @@ def _dispatch(session: Session, line: str) -> tuple[Session, str]:
     if word == "set":
         key, _, value = rest.partition(" ")
         value = value.strip()
-        if key == "precision":
-            try:
+        try:
+            if key == "precision":
                 bits = positive_bits(value)
-            except ValueError as exc:
-                raise CommandError(str(exc)) from None
-            return replace(session, precision=bits), f"precision = {bits}"
-        if key == "mode":
-            if value not in MODES:
-                raise CommandError(f"mode must be one of {', '.join(MODES)}")
-            return replace(session, mode=value), f"mode = {value}"
+                return replace(session, precision=bits), f"precision = {bits}"
+            if key == "mode":
+                return replace(session, mode=value), f"mode = {value}"
+        except ValueError as exc:  # Session's own message, without its class name
+            raise CommandError(str(exc)) from None
         raise CommandError("usage: set precision <bits> | set mode <coords|decimal|both>")
 
     if word == "let":
@@ -268,8 +268,6 @@ def execute(session: Session, command: str) -> tuple[Session, str]:
         return session, ""
     try:
         return _dispatch(session, stripped)
-    except CommandError:
-        raise
     except (QTowerError, ValueError, OSError) as exc:
         raise CommandError(f"{type(exc).__name__}: {exc}") from exc
 
@@ -316,7 +314,7 @@ def _initial_session(tower_path, precision, mode):
         return None, 2
     if tower_path is not None:
         try:
-            session.tower = load_tower(tower_path)
+            session = replace(session, tower=load_tower(tower_path))
         except (OSError, QTowerError) as exc:
             print(f"cannot load tower: {exc}", file=sys.stderr)
             return None, 2

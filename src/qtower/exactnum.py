@@ -1,9 +1,9 @@
 """Exact rational scalars and the number-theoretic helpers built on them.
 
 Rationals are `fractions.Fraction` values: arbitrary precision, always in
-lowest terms with a positive denominator, zero canonically 0/1. Text form
-is `p` or `p/q` in ASCII digits, with an optional leading minus and a
-positive denominator.
+lowest terms with a positive denominator, zero canonically 0/1. Their
+text form is `p` or `p/q` in ASCII digits, with an optional leading minus:
+`str(q)` writes it, and `parse_rational` reads it.
 """
 
 from __future__ import annotations
@@ -177,8 +177,3 @@ def parse_integer(text: str) -> int:
     if _INTEGER_RE.fullmatch(text.strip()) is None:
         raise ValueError(f"not an integer: {text!r}")
     return int(text)
-
-
-def format_rational(q: Fraction) -> str:
-    """Canonical text form: lowest terms, positive denominator, `p` or `p/q`."""
-    return str(q)

@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import LevelMismatch, NotASquareInTower, ParseError
+from .errors import NotASquareInTower, ParseError
 from .poly import Polynomial
 from .tower import Tower, TowerElement
 
@@ -204,18 +204,21 @@ class _Parser:
             node = Pow(node, self.exponent())
         return node, reach
 
-    def exponent(self) -> int:
-        negative = False
-        if self.peek().kind == "MINUS":
+    def signed(self, what: str) -> tuple[Fraction, Token]:
+        """A rational literal with an optional leading '-', and its token."""
+        negative = self.peek().kind == "MINUS"
+        if negative:
             self.advance()
-            negative = True
-        tok = self.expect("RAT", "integer exponent")
-        if tok.value.denominator != 1:
+        tok = self.expect("RAT", what)
+        return (-tok.value if negative else tok.value), tok
+
+    def exponent(self) -> int:
+        e, tok = self.signed("integer exponent")
+        if e.denominator != 1:
             raise ParseError(f"exponent {tok.text!r} is not an integer", tok.pos)
-        e = int(tok.value)
-        if e > MAX_EXPONENT:
+        if abs(e) > MAX_EXPONENT:
             raise ParseError(f"exponent exceeds {MAX_EXPONENT}", tok.pos)
-        return -e if negative else e
+        return int(e)
 
     def atom(self, depth):
         tok = self.peek()
@@ -260,22 +263,13 @@ def parse_poly(text: str) -> Polynomial:
     parser.expect("LBRACKET", "'['")
     if parser.peek().kind == "RBRACKET":
         raise ParseError("empty polynomial", parser.peek().pos)
-    coeffs = [_poly_entry(parser)]
+    coeffs = [parser.signed("rational coefficient")[0]]
     while parser.peek().kind == "COMMA":
         parser.advance()
-        coeffs.append(_poly_entry(parser))
+        coeffs.append(parser.signed("rational coefficient")[0])
     parser.expect("RBRACKET", "']' or ','")
     parser.finish()
     return Polynomial(tuple(coeffs))
-
-
-def _poly_entry(parser: _Parser) -> Fraction:
-    negative = False
-    if parser.peek().kind == "MINUS":
-        parser.advance()
-        negative = True
-    tok = parser.expect("RAT", "rational coefficient")
-    return -tok.value if negative else tok.value
 
 
 def eval_expr(node, tower: Tower, bindings=None) -> TowerElement:
@@ -287,10 +281,6 @@ def eval_expr(node, tower: Tower, bindings=None) -> TowerElement:
     if isinstance(node, RationalLiteral):
         return tower.embed(node.value)
     if isinstance(node, GeneratorRef):
-        if not 1 <= node.index <= tower.depth:
-            raise LevelMismatch(
-                f"g{node.index} does not exist (tower depth {tower.depth})"
-            )
         return tower.lift_to(tower.generator(node.index), tower.depth)
     if isinstance(node, Name):
         if bindings is None or node.name not in bindings:

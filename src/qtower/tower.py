@@ -57,7 +57,7 @@ from .errors import (
     NotAProperExtension,
     TowerFormatError,
 )
-from .exactnum import format_rational, parse_integer, parse_rational
+from .exactnum import parse_integer, parse_rational
 
 _ZERO = Fraction(0)
 
@@ -370,10 +370,10 @@ class Tower:
     def _extended(self, s: TowerElement) -> Tower:
         """This tower extended by g = sqrt(s), s a top-level element proven
         positive and not a square. Only the new level is rescaled, by D, the
-        least common denominator of s's coordinates in the rescaled basis."""
-        coords = [c / p for c, p in zip(s.coords, self._scales)]
-        d = math.lcm(*[c.denominator for c in coords])
-        ints = [int(c * d * d) for c in coords]
+        least common denominator of s's coordinates in the rescaled basis,
+        which `_enter` writes as for any other element."""
+        v, d = _reduced(*self._enter(s))
+        ints = [d * x for x in v]
         square = ints if any(ints[1:]) else ints[0]
         tower = object.__new__(Tower)
         vars(tower).update(
@@ -396,7 +396,7 @@ class Tower:
     def generator(self, i: int) -> TowerElement:
         """g_i as an element of level i (a single basis coordinate)."""
         if not 1 <= i <= self.depth:
-            raise LevelMismatch(f"no generator g{i} in a depth-{self.depth} tower")
+            raise LevelMismatch(f"g{i} does not exist (tower depth {self.depth})")
         coords = [_ZERO] * (1 << i)
         coords[1 << (i - 1)] = Fraction(1)
         return TowerElement(i, tuple(coords))
@@ -692,7 +692,7 @@ def dumps_tower(tower: Tower) -> str:
     """Serialize to the line-based tower format (deterministic bytes)."""
     lines = [_MAGIC, f"levels {tower.depth}"]
     for i, sq in enumerate(tower.levels, start=1):
-        lines.append(f"square {i}: " + " ".join(format_rational(c) for c in sq))
+        lines.append(f"square {i}: " + " ".join([str(c) for c in sq]))
     return "\n".join(lines) + "\n"
 
 

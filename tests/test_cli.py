@@ -4,7 +4,7 @@ import random
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -274,7 +274,7 @@ def test_execute_set():
     assert s.precision == 64
     s, out = execute(s, "set mode decimal")
     assert s.mode == "decimal"
-    with pytest.raises(CommandError):
+    with pytest.raises(CommandError, match="^mode must be one of coords, decimal, both$"):
         execute(s, "set mode loud")
     with pytest.raises(CommandError):
         execute(s, "set precision zero")
@@ -346,6 +346,11 @@ def test_execute_errors_and_noise():
     assert same is s and out == ""
     same, out = execute(s, "# comment")
     assert same is s and out == ""
+    s = session_with_sqrt2()
+    for i in (3, 0):
+        with pytest.raises(CommandError) as info:
+            execute(s, f"eval g{i}")
+        assert str(info.value) == f"LevelMismatch: g{i} does not exist (tower depth 1)"
 
 
 def test_execute_rejects_non_ascii_digits():
@@ -502,7 +507,7 @@ def test_run_batch_bad_tower_preload(tmp_path):
     assert run_batch(script, tower_path=tmp_path / "nope.qt", out=io.StringIO()) == 2
 
 
-@pytest.mark.parametrize("precision", [0, -3])
+@pytest.mark.parametrize("precision", [0, -3, 2.5, "113", True])
 def test_library_sessions_refuse_non_positive_precision(tmp_path, capsys, precision):
     with pytest.raises(ValueError, match="^precision must be a positive number of bits$"):
         Session(precision=precision)
@@ -518,10 +523,28 @@ def test_library_sessions_refuse_non_positive_precision(tmp_path, capsys, precis
     )
 
 
+def test_library_sessions_refuse_unknown_mode(tmp_path, capsys):
+    message = "mode must be one of coords, decimal, both"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Session(mode="bogus")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        replace(Session(), mode="bogus")
+    script = tmp_path / "script.qt"
+    script.write_text("eval 1/3\n")
+    out = io.StringIO()
+    assert run_batch(script, mode="bogus", out=out) == 2
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err == f"cannot start session: {message}\n"
+
+
 def test_precision_is_capped(tmp_path, capsys):
     message = f"precision exceeds {MAX_PRECISION} bits"
     with pytest.raises(ValueError, match=f"^{message}$"):
         Session(precision=10**6)
+    s = Session()
+    with pytest.raises(FrozenInstanceError):
+        s.precision = 10**6
+    assert s.precision == 113
     with pytest.raises(CommandError, match=f"^{message}$"):
         execute(Session(), "set precision 1000000")
     script = tmp_path / "script.qt"

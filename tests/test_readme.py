@@ -1,10 +1,13 @@
 """The README's examples run against the current code: the Library block
-executes, and the REPL transcript replays byte for byte."""
+executes, the REPL transcript replays byte for byte, and the command list
+agrees with `help` and with the commands the session dispatches."""
 
+import inspect
 import re
 from pathlib import Path
 
-from qtower.cli import Session, execute
+from qtower import cli
+from qtower.cli import HELP_TEXT, CommandError, Session, execute
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 PROMPT = "qtower> "
@@ -42,3 +45,35 @@ def test_readme_repl_transcript_replays():
     for command, documented in transcript:
         session, output = execute(session, command)
         assert output == documented, command
+
+
+def help_commands():
+    """The command words HELP_TEXT lists: the first word of each indented
+    line and of each alternative after ' / '."""
+    return {
+        usage.split()[0]
+        for line in HELP_TEXT.splitlines()
+        if line.startswith("  ")
+        for usage in line.split(" / ")
+    }
+
+
+def readme_commands():
+    """The first word of each item in the README's `Commands:` list."""
+    text = README.read_text(encoding="utf-8")
+    listed = text.split("\nCommands: ", 1)[1].split(".\n", 1)[0]
+    return {item.split()[0] for item in re.findall(r"`([^`]+)`", listed)}
+
+
+def test_help_readme_and_dispatch_name_the_same_commands():
+    commands = help_commands() | {"help"}  # help does not list itself
+    assert len(commands) == 15
+    assert readme_commands() == commands
+    dispatched = re.findall(r'word == "([a-z-]+)"', inspect.getsource(cli._dispatch))
+    assert set(dispatched) == commands
+    for word in commands:
+        # a bare command word gets its own reply or usage error, never "unknown"
+        try:
+            execute(Session(), word)
+        except CommandError as exc:
+            assert "unknown command" not in str(exc), word

@@ -263,6 +263,10 @@ def test_embed_and_lift():
     with pytest.raises(LevelMismatch):
         t2.lift_to(x, 0)
     assert t2.lift_to(elt(0, 5), 2) == elt(2, 5, 0, 0, 0)
+    for i in (3, 0):
+        with pytest.raises(LevelMismatch) as info:
+            Q_SQRT2.generator(i)
+        assert str(info.value) == f"g{i} does not exist (tower depth 1)"
 
     rng = random.Random(5)
     for _ in range(20):
@@ -699,6 +703,19 @@ def test_level_two_product_matches_schoolbook(s2, kind):
         assert t.mul(zx, y).coords == ref_mul(t.levels, zx.coords, y.coords)
 
 
+def fraction_rescaled_basis(levels):
+    """(_scales, _squares) by Fractions: s_i divided by the scales below,
+    D_i the least common denominator of the quotients, s_i' = D_i^2*s_i."""
+    scales, squares = (1,), ()
+    for sq in levels:
+        coords = [c / p for c, p in zip(sq, scales)]
+        d = math.lcm(*[c.denominator for c in coords])
+        ints = [int(c * d * d) for c in coords]
+        squares += (ints if any(ints[1:]) else ints[0],)
+        scales += tuple(p * d for p in scales)
+    return scales, squares
+
+
 @pytest.mark.parametrize("depth", [0, 1, 2, 3, 4])
 def test_built_and_adjoined_towers_share_the_enclosure(depth):
     # Tower(levels) adopts the last prefix's basis, the enclosure included;
@@ -709,6 +726,9 @@ def test_built_and_adjoined_towers_share_the_enclosure(depth):
     assert built == chained
     assert len(built._enclosure) == 1 << depth
     assert built._enclosure == chained._enclosure
+    fractional = Tower(((2,), (Fraction(3, 2), 0)))
+    for t in (chained, built, kernel_tower("rational", rng, depth), fractional):
+        assert (t._scales, t._squares) == fraction_rescaled_basis(t.levels)
     for level in range(depth + 1):
         for _ in range(5):
             x = random_element(rng, level)
