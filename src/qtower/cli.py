@@ -11,6 +11,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_UP, Context
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import QTowerError
 from .exactnum import parse_integer
@@ -56,12 +57,18 @@ class CommandError(Exception):
 @dataclass(frozen=True)
 class Session:
     tower: Tower = field(default_factory=Tower)
-    bindings: dict = field(default_factory=dict)
+    bindings: MappingProxyType = field(default_factory=dict)  # read-only once checked
     precision: int = 113
     mode: str = "both"
 
     def __post_init__(self):
         # the one check of a session, for the command line and library callers alike
+        if not isinstance(self.tower, Tower):
+            raise ValueError("tower must be a Tower")
+        for name, value in self.bindings.items():
+            if not isinstance(value, TowerElement):
+                raise ValueError(f"binding {name!r} must be a TowerElement")
+        object.__setattr__(self, "bindings", MappingProxyType(dict(self.bindings)))
         if type(self.precision) is not int or self.precision < 1:
             raise ValueError("precision must be a positive number of bits")
         if self.precision > MAX_PRECISION:
@@ -151,9 +158,7 @@ def _dispatch(session: Session, line: str) -> tuple[Session, str]:
             raise CommandError(f"usage: {usage}")
         coeffs = tuple(_eval(session, e) for e in entries)
         tower, root = session.tower.adjoin_quadratic_root(coeffs, branch)
-        bindings = dict(session.bindings)
-        bindings["last"] = root
-        new = replace(session, tower=tower, bindings=bindings)
+        new = replace(session, tower=tower, bindings={**session.bindings, "last": root})
         k = tower.depth
         return new, f"adjoined g{k}; root bound to 'last': {format_element(root, new)}"
 
@@ -250,9 +255,7 @@ def _dispatch(session: Session, line: str) -> tuple[Session, str]:
         if kinds[0] != "NAME":
             raise CommandError(f"{name!r} is reserved")
         value = _eval(session, expr)
-        bindings = dict(session.bindings)
-        bindings[name] = value
-        new = replace(session, bindings=bindings)
+        new = replace(session, bindings={**session.bindings, name: value})
         return new, f"{name} = {format_element(value, new)}"
 
     raise CommandError(f"unknown command {word!r}; try 'help'")

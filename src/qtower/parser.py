@@ -22,6 +22,7 @@ constant term first.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -99,6 +100,15 @@ class Name:
     name: str
 
 
+def _digits(text: str, pos: int) -> int:
+    """ASCII digits as an int, or a ParseError past Python's int-string limit."""
+    try:
+        return int(text)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"number exceeds the {limit}-digit limit", pos) from None
+
+
 def tokenize(text: str) -> list[Token]:
     """Scan text into tokens, ending with an EOF token at len(text)."""
     tokens = []
@@ -116,9 +126,10 @@ def tokenize(text: str) -> list[Token]:
         if m:
             raw = m.group(0)
             num, _, den = raw.partition("/")
-            if den and int(den) == 0:
+            num, den = _digits(num, i), _digits(den, i) if den else None
+            if den == 0:
                 raise ParseError(f"zero denominator in {raw!r}", i)
-            value = Fraction(int(num), int(den)) if den else Fraction(int(num))
+            value = Fraction(num) if den is None else Fraction(num, den)
             tokens.append(Token("RAT", raw, i, value))
             i = m.end()
             continue
@@ -129,7 +140,7 @@ def tokenize(text: str) -> list[Token]:
             if word == "sqrt":
                 tokens.append(Token("SQRT", word, i))
             elif gen:
-                tokens.append(Token("GEN", word, i, int(gen.group(1))))
+                tokens.append(Token("GEN", word, i, _digits(gen.group(1), i)))
             else:
                 tokens.append(Token("NAME", word, i, word))
             i = m.end()

@@ -30,13 +30,14 @@ products plus one product by s (Karatsuba on a + b*g):
 so a dense level-k product costs 4^k integer products on nested towers and
 3^k on towers whose squares are rational, where the product by s is a
 scalar multiple; products by zero halves are skipped. The recursion stops
-at level 2, whose product is written out in full. Inversion, signs and
-square roots recurse through the norm a^2 - s*b^2 on the same kernel.
+at level 2, whose product is written out in full. Inversion and square
+roots recurse through the norm a^2 - s*b^2 on the same kernel.
 
 Each tower also holds an integer enclosure of its rescaled basis times
 2^64, built one level at a time by the step that `approx` uses at higher
-precision. A sign is read from the enclosure of x when that excludes
-zero, and found by the exact recursion otherwise; either way it is exact.
+precision. A sign is read from the enclosure of x, rebuilt at twice the
+bits until it excludes zero; in a valid tower only x = 0 never does, and
+x = 0 is read from its coordinates, so every sign is exact.
 
 Towers and elements are immutable; every operation is a pure function, so
 values are safe to share across threads.
@@ -159,28 +160,6 @@ def _inv(a, k, squares):
     v, m = _inv(norm, k, squares)
     high = [-x for x in _mul(ext, v, k, squares)]
     return _reduced(_mul(sub, v, k, squares) + high, m)
-
-
-def _sign(a, k, squares):
-    """The sign of the level-k vector a. With a = c + d*g, g > 0: equal
-    signs of c and d win outright; otherwise the part with the larger
-    magnitude wins, and c^2 versus s*d^2 is compared one level down."""
-    if k == 0:
-        v = a[0]
-        return (v > 0) - (v < 0)
-    h = len(a) >> 1
-    sub, ext = a[:h], a[h:]
-    k -= 1
-    sign_ext = _sign(ext, k, squares)
-    if sign_ext == 0:
-        return _sign(sub, k, squares)
-    sign_sub = _sign(sub, k, squares)
-    if sign_sub == 0 or sign_sub == sign_ext:
-        return sign_ext
-    cmp = _sign(_norm(sub, ext, k, squares), k, squares)
-    if cmp == 0:
-        raise InvalidTower("|a| = |b*g| with opposite signs: generator lies in the subfield")
-    return sign_sub if cmp > 0 else sign_ext
 
 
 def _sqrt(a, k, squares):
@@ -558,19 +537,20 @@ class Tower:
 
     def exact_sign(self, x: TowerElement) -> int:
         """The sign (-1, 0, +1) of the real number x denotes, decided
-        exactly. Rescaled generators stay positive, so the integer vector
-        has the sign of x. Its dot product with the tower's integer
-        enclosure of the basis decides the sign when the enclosure
-        excludes zero. Otherwise, with x = a + b*g, g > 0: equal signs of
-        a and b win outright; else the part with the larger magnitude
-        wins, and a^2 versus s*b^2 is compared one level down."""
+        exactly. x = 0 exactly when its coordinates are: every Tower is
+        valid by construction, and a valid tower's basis is linearly
+        independent. Otherwise the bounds of x from the basis enclosure
+        decide; while they straddle 0, the basis is enclosed again at
+        twice the bits, and as the bounds close in on x != 0 the loop ends."""
         v = self._enter(x)[0]
+        if not any(v):
+            return 0
         lo, hi = _dot(v, self._enclosure)
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-        return _sign(v, x.level, self._squares)
+        bits = _ENCLOSURE_BITS
+        while lo <= 0 <= hi:
+            bits *= 2
+            lo, hi = _dot(v, self._basis(x.level, bits))
+        return 1 if lo > 0 else -1
 
     def is_square(self, x: TowerElement) -> TowerElement | None:
         """A witness w with w*w = x exactly, or None when x is not a
@@ -609,15 +589,15 @@ class Tower:
         to even, as a Fraction.
 
         Ziv's strategy on integer enclosures of the rescaled basis at
-        `bits` fractional bits, built by `_extend_basis` as the tower's
-        own enclosure is, and x by a signed dot product. The guard bits
+        `bits` fractional bits, built by `_basis` as the enclosures of
+        `exact_sign` are, and x by a signed dot product. The guard bits
         double until both ends of x's enclosure round to the same value,
         which by monotone rounding is x rounded. An irrational x is no
         tie, and a rational tie is dyadic, so enough bits enclose it
         exactly: the loop ends for every x != 0.
 
         Diagnostic only: no exact decision in this package consults the
-        value; `exact_sign` shares only the enclosure step.
+        value; `exact_sign` shares the enclosures, not the rounding.
         """
         if precision < 1:
             raise ValueError("precision must be a positive number of bits")
@@ -627,15 +607,20 @@ class Tower:
         guard = 32
         while True:
             bits = precision + guard
-            basis = ((1 << bits, 1 << bits),)
-            for s in self._squares[: x.level]:
-                basis = _extend_basis(basis, s, bits)
-            lo, hi = _dot(v, basis)
+            lo, hi = _dot(v, self._basis(x.level, bits))
             # rounding keeps signs and zero, so equal ends are nonzero
             n = _round(lo // d, precision)
             if n == _round(-(-hi // d), precision):
                 return Fraction(n, 1 << bits)
             guard *= 2
+
+    def _basis(self, level: int, bits: int):
+        """The integer enclosure of the rescaled basis of `level` times
+        2^bits, built from Q's 1 one level at a time by `_extend_basis`."""
+        basis = ((1 << bits, 1 << bits),)
+        for s in self._squares[:level]:
+            basis = _extend_basis(basis, s, bits)
+        return basis
 
 
 _ENCLOSURE_BITS = 64  # fractional bits of each tower's basis enclosure

@@ -265,6 +265,13 @@ def test_execute_let_and_bindings():
         execute(s, "let sqrt = 2")
     with pytest.raises(CommandError):
         execute(s, "let a 2")
+    # a session holds only elements, and its bindings change only by command
+    with pytest.raises(TypeError):
+        s.bindings["x"] = 1
+    with pytest.raises(ValueError, match="^binding 'x' must be a TowerElement$"):
+        Session(bindings={"x": 1})
+    with pytest.raises(ValueError, match="^tower must be a Tower$"):
+        Session(tower=((2,),))
 
 
 def test_execute_set():

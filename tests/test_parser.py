@@ -58,6 +58,12 @@ def test_tokenize_lex_error_position():
     with pytest.raises(ParseError) as info:
         tokenize("1 + ²")  # a digit to str.isdigit, not a rational
     assert info.value.position == 4
+    # literals past Python's 4300-digit int-string limit
+    long = "7" * 5000
+    for text, position in ((long, 0), (f"1 + 2/{long}", 4), (f"g{long}", 0)):
+        with pytest.raises(ParseError, match="4300-digit limit") as info:
+            parse_expr(text)
+        assert info.value.position == position
 
 
 def test_tokenize_zero_denominator():

@@ -15,7 +15,7 @@ from qtower.errors import (
     NotAProperExtension,
     TowerFormatError,
 )
-from qtower import tower as tower_module
+from qtower.parser import MAX_EXPONENT
 from qtower.tower import (
     Tower,
     TowerElement,
@@ -739,7 +739,9 @@ def test_built_and_adjoined_towers_share_the_enclosure(depth):
 
 
 def test_enclosure_contains_the_rescaled_basis():
-    # lo <= 2^64 * (basis vector j) <= hi, decided by the schoolbook sign
+    # lo <= 2^64 * (basis vector j) <= hi, decided by the schoolbook sign;
+    # exact_sign agrees, though the stored enclosure of each difference has
+    # an end exactly at 0
     for t in (random_tower(random.Random(3), 3), kernel_tower("rational", random.Random(3), 4)):
         for j, (lo, hi) in enumerate(t._enclosure):
             n = 1 << j.bit_length()
@@ -747,31 +749,35 @@ def test_enclosure_contains_the_rescaled_basis():
                 coords = [Fraction(0)] * n
                 coords[j] = Fraction(t._scales[j])
                 coords[0] -= Fraction(bound, 1 << 64)
-                assert side * ref_sign(t.levels, tuple(coords)) >= 0
+                sign = ref_sign(t.levels, tuple(coords))
+                assert side * sign >= 0
+                assert t.exact_sign(TowerElement(n.bit_length() - 1, tuple(coords))) == sign
 
 
 @pytest.fixture
-def fallbacks(monkeypatch):
-    """Counts the exact recursions that exact_sign falls back to."""
+def widenings(monkeypatch):
+    """Counts the basis enclosures that exact_sign builds beyond the
+    tower's stored 64-bit one, by their bits."""
     calls = []
-    exact = tower_module._sign
+    build = Tower._basis
 
-    def counted(a, k, squares):
-        calls.append(k)
-        return exact(a, k, squares)
+    def counted(self, level, bits):
+        calls.append(bits)
+        return build(self, level, bits)
 
-    monkeypatch.setattr(tower_module, "_sign", counted)
+    monkeypatch.setattr(Tower, "_basis", counted)
     return calls
 
 
-def signs_agree(t, xs, fallbacks):
+def signs_agree(t, xs, widenings):
     """exact_sign agrees with the schoolbook sign on every x; returns how
-    many of them the enclosure decided and how many the recursion did."""
+    many of them the stored enclosure decided and how many were decided
+    after widening it."""
     paths = {True: 0, False: 0}
     for x in xs:
-        before = len(fallbacks)
+        before = len(widenings)
         assert t.exact_sign(x) == ref_sign(t.levels, x.coords)
-        paths[len(fallbacks) == before] += 1
+        paths[len(widenings) == before] += 1
     return paths[True], paths[False]
 
 
@@ -790,16 +796,16 @@ def sqrt_convergents(r, count):
         h, k, h1, k1 = a * h + h1, a * k + k1, h, k
 
 
-def test_sign_filter_on_powers_of_a_pell_difference(fallbacks):
+def test_sign_filter_on_powers_of_a_pell_difference(widenings):
     t = Tower(((2,),))
     x = t.generator(1) - t.embed(Fraction(665857, 470832))
-    powers = [t.power(x, k) for k in range(17)]
-    decided, fell_back = signs_agree(t, powers + [-p for p in powers], fallbacks)
-    assert decided and fell_back
+    powers = [t.power(x, k) for k in [*range(17), 32, 48, MAX_EXPONENT]]
+    decided, widened = signs_agree(t, powers + [-p for p in powers], widenings)
+    assert decided and widened
 
 
 @pytest.mark.parametrize("squares", [(2, 3, 5, 7), RATIONAL_SQUARES[:4]])
-def test_sign_filter_on_convergent_differences(squares, fallbacks):
+def test_sign_filter_on_convergent_differences(squares, widenings):
     t = Tower()
     for s in squares:
         t = t.adjoin_sqrt(s)
@@ -808,26 +814,30 @@ def test_sign_filter_on_convergent_differences(squares, fallbacks):
     for i, j in ((0, 1), (1, 3), (2, 3)):
         roots.append((t.mul(g[i], g[j]), Fraction(squares[i]) * squares[j]))
     diffs = [x - t.embed(c) for x, r in roots for c in sqrt_convergents(r, 40)]
-    decided, fell_back = signs_agree(t, diffs, fallbacks)
-    assert decided and fell_back
+    decided, widened = signs_agree(t, diffs, widenings)
+    assert decided and widened
     rng = random.Random(f"convergents-{squares}")
     products = [t.mul(*rng.sample(diffs, 2)) for _ in range(30)]
-    decided, fell_back = signs_agree(t, products, fallbacks)
-    assert decided and fell_back
+    decided, widened = signs_agree(t, products, widenings)
+    assert decided and widened
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
-def test_sign_filter_on_random_nested_towers(depth, fallbacks):
+def test_sign_filter_on_random_nested_towers(depth, widenings):
     rng = random.Random(f"filter-{depth}")
     t = random_tower(rng, depth)
     xs = []
     for _ in range(6):
         x = random_element(rng, depth, nonzero=True)
-        # x minus a rational near it: the enclosure decides the 20-bit
-        # remainder, and the recursion the 100-bit one
+        # x minus a rational near it: the stored enclosure decides the
+        # 20-bit remainder, a widened one the 100-bit one, and the
+        # 2000-bit one only after several doublings
         xs += [x, x - x, x - t.embed(t.approx(x, 20)), x - t.embed(t.approx(x, 100))]
-    decided, fell_back = signs_agree(t, xs, fallbacks)
-    assert decided and fell_back
+        xs.append(x - t.embed(t.approx(x, 2000)))
+    widenings.clear()  # approx builds through _basis too
+    decided, widened = signs_agree(t, xs, widenings)
+    assert decided and widened
+    assert max(widenings) > 2000
 
 
 # -- text formats --------------------------------------------------------------
