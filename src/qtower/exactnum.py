@@ -12,6 +12,7 @@ import collections
 import itertools
 import math
 import re
+import sys
 from fractions import Fraction
 
 _RATIONAL_RE = re.compile(r"^(-?[0-9]+)(?:/([0-9]+))?$")
@@ -165,8 +166,8 @@ def parse_rational(text: str) -> Fraction:
     m = _RATIONAL_RE.match(text.strip())
     if m is None:
         raise ValueError(f"not a rational: {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) is not None else 1
+    num = ascii_int(m.group(1))
+    den = ascii_int(m.group(2)) if m.group(2) is not None else 1
     if den == 0:
         raise ValueError(f"zero denominator: {text!r}")
     return Fraction(num, den)
@@ -176,4 +177,13 @@ def parse_integer(text: str) -> int:
     """Parse an ASCII integer, `-?[0-9]+`; int() would also take `+`, `_` and `١`."""
     if _INTEGER_RE.fullmatch(text.strip()) is None:
         raise ValueError(f"not an integer: {text!r}")
-    return int(text)
+    return ascii_int(text)
+
+
+def ascii_int(text: str) -> int:
+    """int() of text matched as `-?[0-9]+`, naming Python's int-string limit past it."""
+    try:
+        return int(text)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"number exceeds the {limit}-digit limit") from None

@@ -22,11 +22,11 @@ constant term first.
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotASquareInTower, ParseError
+from .exactnum import ascii_int
 from .poly import Polynomial
 from .tower import Tower, TowerElement
 
@@ -103,10 +103,9 @@ class Name:
 def _digits(text: str, pos: int) -> int:
     """ASCII digits as an int, or a ParseError past Python's int-string limit."""
     try:
-        return int(text)
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise ParseError(f"number exceeds the {limit}-digit limit", pos) from None
+        return ascii_int(text)
+    except ValueError as exc:
+        raise ParseError(str(exc), pos) from None
 
 
 def tokenize(text: str) -> list[Token]:

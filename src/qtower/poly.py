@@ -1,9 +1,9 @@
-"""Dense polynomials (constant term first) over Q or over a tower level,
+"""Dense polynomials (constant term first) with rational coefficients,
 with the cubic machinery behind constructibility verdicts.
 
 The pipeline for a rational cubic: enumerate the finitely many possible
-rational roots from the divisors of the cleared constant and leading
-coefficients, test each exactly, and conclude. A cubic with no rational
+rational roots from the divisors of the cleared lowest nonzero and
+leading coefficients, test each exactly, and conclude. A cubic with no rational
 root has no root in any tower of real quadratic extensions, because a
 root at level k forces (via the conjugate-root factorization) a root at
 level k-1, and so on down to Q. `descend_cubic_root` is that argument
@@ -17,44 +17,28 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import InvalidTower, LevelMismatch
+from .errors import InvalidTower
 from .exactnum import divisors
 from .tower import Tower, TowerElement
 
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Coefficient i multiplies x^i. All coefficients are rationals, or
-    all are tower elements of one level; mixing is rejected. Stored
-    length may include leading zeros; `degree` ignores them."""
+    """Rational coefficients, converted with `Fraction`; coefficient i
+    multiplies x^i. Stored length may include leading zeros; `degree`
+    ignores them."""
 
-    coeffs: tuple
+    coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        coeffs = tuple(self.coeffs)
+        coeffs = tuple(Fraction(c) for c in self.coeffs)
         if not coeffs:
             raise ValueError("empty polynomial")
-        if any(isinstance(c, TowerElement) for c in coeffs):
-            if not all(isinstance(c, TowerElement) for c in coeffs):
-                raise ValueError("mixed scalar kinds in one polynomial")
-            levels = {c.level for c in coeffs}
-            if len(levels) > 1:
-                raise LevelMismatch(f"coefficients at mixed levels {sorted(levels)}")
-        else:
-            coeffs = tuple(Fraction(c) for c in coeffs)
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
-    def is_rational(self) -> bool:
-        return not isinstance(self.coeffs[0], TowerElement)
-
-    @property
     def degree(self) -> int:
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if not (c.is_zero if isinstance(c, TowerElement) else c == 0):
-                return i
-        return -1
+        return max((i for i, c in enumerate(self.coeffs) if c), default=-1)
 
 
 class Outcome(Enum):
@@ -76,25 +60,16 @@ class Verdict:
 
 
 def poly_eval(p: Polynomial, x, tower: Tower | None = None):
-    """Exact Horner evaluation c0 + x*(c1 + x*(c2 + ...)).
-
-    Rational polynomials accept rational points directly. With a tower
-    element point, coefficients are lifted to the point's level (rational
-    coefficients embed), which requires the tower context.
-    """
+    """Exact Horner evaluation c0 + x*(c1 + x*(c2 + ...)) at a rational
+    or at a tower element. At a tower element each coefficient embeds at
+    the point's level, which requires the tower context."""
     if isinstance(x, TowerElement):
         if tower is None:
             raise ValueError("evaluation at a tower element needs the tower")
-        lifted = [
-            tower.lift_to(c, x.level) if isinstance(c, TowerElement) else tower.embed(c, x.level)
-            for c in p.coeffs
-        ]
-        acc = lifted[-1]
-        for c in reversed(lifted[:-1]):
-            acc = tower.mul(acc, x) + c
+        acc = tower.embed(p.coeffs[-1], x.level)
+        for c in reversed(p.coeffs[:-1]):
+            acc = tower.mul(acc, x) + tower.embed(c, x.level)
         return acc
-    if not p.is_rational:
-        raise LevelMismatch("tower-coefficient polynomial needs a tower-element point")
     x = Fraction(x)
     acc = Fraction(0)
     for c in reversed(p.coeffs):
@@ -103,8 +78,6 @@ def poly_eval(p: Polynomial, x, tower: Tower | None = None):
 
 
 def _require_rational_cubic(p: Polynomial):
-    if not p.is_rational:
-        raise ValueError("cubic operations need rational coefficients")
     if p.degree != 3:
         raise ValueError(f"degree must be exactly 3, got {p.degree}")
 
@@ -134,26 +107,24 @@ def descend_cubic_root(p: Polynomial, tower: Tower, x0: TowerElement) -> Fractio
 
 
 def rrt_candidates(p: Polynomial) -> list[Fraction]:
-    """Every rational that could be a root of the cubic: after clearing
-    denominators to integer coefficients A0..A3, all +-n/d in lowest
-    terms with n | |A0| and d | |A3|, each once, ascending.
-
-    A zero constant term short-circuits to the single candidate 0 (which
-    is then a root); the divisor rule degenerates there and no deeper
-    enumeration is attempted."""
+    """Every rational that could be a root of the cubic, each once,
+    ascending. After clearing denominators to integer coefficients
+    A0..A3, let A_m be the lowest nonzero one, so that p = x^m * q with
+    q(0) = A_m: the candidates are all +-n/d in lowest terms with
+    n | |A_m| and d | |A3|, and 0 when m > 0."""
     _require_rational_cubic(p)
     cs = p.coeffs[:4]
     scale = math.lcm(*(c.denominator for c in cs))
-    a0, _, _, a3 = (int(c * scale) for c in cs)
-    if a0 == 0:
-        return [Fraction(0)]
+    a = [int(c * scale) for c in cs]
+    m = next(i for i, ai in enumerate(a) if ai)
     # each candidate once, as its coprime (n, d); no set, since CPython
     # hashes all multiples of 2^61 - 1 alike
-    dens = divisors(abs(a3))
+    dens = divisors(abs(a[3]))
     positive = sorted(
-        [Fraction(n, d) for n in divisors(abs(a0)) for d in dens if math.gcd(n, d) == 1]
+        [Fraction(n, d) for n in divisors(abs(a[m])) for d in dens if math.gcd(n, d) == 1]
     )
-    return [-x for x in reversed(positive)] + positive
+    zero = [Fraction(0)] if m else []
+    return [-x for x in reversed(positive)] + zero + positive
 
 
 def rational_roots_cubic(p: Polynomial) -> list[Fraction]:

@@ -41,6 +41,14 @@ def horner_float(coeffs, x):
     return acc
 
 
+def horner_tower(t, coeffs, x):
+    """P(x) for tower-element coefficients at or below x's level."""
+    acc = t.lift_to(coeffs[-1], x.level)
+    for c in reversed(coeffs[:-1]):
+        acc = t.mul(acc, x) + t.lift_to(c, x.level)
+    return acc
+
+
 def test_criterion_1_double_cube_verdict():
     start = time.perf_counter()
     candidates = rrt_candidates(DOUBLE_CUBE)
@@ -135,7 +143,9 @@ def test_criterion_5_conjugation_suite():
                 random_element(rng, depth - 1, bound=30)
                 for _ in range(rng.randint(1, 6))
             )
-            p = Polynomial(coeffs)
+            conj_of_value = horner_tower(t, coeffs, x).conjugate()
+            assert horner_tower(t, coeffs, x.conjugate()) == conj_of_value
+            p = Polynomial(tuple(c.coords[0] for c in coeffs))
             assert poly_eval(p, x.conjugate(), t) == poly_eval(p, x, t).conjugate()
             polys += 1
     ok(5, f"{polys} polynomials: conjugation laws and P(conj x) = conj P(x) exact")

@@ -380,6 +380,10 @@ def test_numbers_are_ascii_digits(tmp_path):
         "levels ١\nsquare 1: 3": "TowerFormatError: bad level count: 'levels ١'",
         "levels 0_1\nsquare 1: 3": "TowerFormatError: bad level count: 'levels 0_1'",
         "levels -1": "TowerFormatError: negative level count -1",
+        # past Python's int-string limit the message names the limit, not a setting
+        f"levels 1\nsquare 1: {'7' * 5000}": (
+            "TowerFormatError: square 1: number exceeds the 4300-digit limit"
+        ),
     }
     path = tmp_path / "t.qt"
     for body, error in refused.items():

@@ -1,15 +1,20 @@
-"""The README's examples run against the current code: the Library block
-executes, the REPL transcript replays byte for byte, and the command list
-agrees with `help` and with the commands the session dispatches."""
+"""The README's examples and claims hold for the current code: the Library
+block executes, the REPL transcript replays byte for byte, the command
+list agrees with `help` and with the commands the session dispatches, and
+importing qtower loads nothing outside the standard library."""
 
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 from qtower import cli
 from qtower.cli import HELP_TEXT, CommandError, Session, execute
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 PROMPT = "qtower> "
 
 
@@ -77,3 +82,20 @@ def test_help_readme_and_dispatch_name_the_same_commands():
             execute(Session(), word)
         except CommandError as exc:
             assert "unknown command" not in str(exc), word
+
+
+def test_qtower_has_no_runtime_dependency():
+    # modules loaded before the import (site .pth hooks) are not its doing
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import qtower, qtower.cli\n"
+        "loaded = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted(loaded - set(sys.stdlib_module_names)))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "['qtower']"
