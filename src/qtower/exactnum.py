@@ -157,6 +157,15 @@ def _rho_factor(n: int) -> int:
             return g
 
 
+def as_rational(q) -> Fraction:
+    """q as a Fraction, for q an int or a Fraction. Anything else is a
+    TypeError: a binary float would pass its binary value off as exact,
+    and text has its own reader, `parse_rational`."""
+    if not isinstance(q, (int, Fraction)):
+        raise TypeError(f"expected an int or a Fraction, got {type(q).__name__}")
+    return Fraction(q)
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse the rational text form `p` or `p/q` (leading `-` allowed).
 

@@ -1,37 +1,43 @@
 """Dense polynomials (constant term first) with rational coefficients,
 with the cubic machinery behind constructibility verdicts.
 
-The pipeline for a rational cubic: enumerate the finitely many possible
-rational roots from the divisors of the cleared lowest nonzero and
-leading coefficients, test each exactly, and conclude. A cubic with no rational
-root has no root in any tower of real quadratic extensions, because a
-root at level k forces (via the conjugate-root factorization) a root at
-level k-1, and so on down to Q. `descend_cubic_root` is that argument
-run forward as an algorithm.
+A cubic with no rational root has no root in any tower of real
+quadratic extensions, because a root at level k forces (via the
+conjugate-root factorization) a root at level k-1, and so on down to Q.
+`descend_cubic_root` is that argument run forward as an algorithm.
+
+Two procedures find the rational roots. `rational_roots_cubic` lifts
+the roots of a monic integer cubic modulo one small prime (p-adic
+Newton iteration), in time polynomial in the size of the coefficients.
+`rrt_candidates` and `constructible_root_verdict` list every candidate
+of the rational root theorem, from the divisors of the cleared lowest
+nonzero and leading coefficients, and test each exactly; they factor
+those coefficients, because they print the whole list as evidence.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .errors import InvalidTower
-from .exactnum import divisors
+from .exactnum import as_rational, divisors
 from .tower import Tower, TowerElement
 
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Rational coefficients, converted with `Fraction`; coefficient i
+    """Rational coefficients, each an int or a Fraction; coefficient i
     multiplies x^i. Stored length may include leading zeros; `degree`
     ignores them."""
 
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        coeffs = tuple(Fraction(c) for c in self.coeffs)
+        coeffs = tuple([as_rational(c) for c in self.coeffs])
         if not coeffs:
             raise ValueError("empty polynomial")
         object.__setattr__(self, "coeffs", coeffs)
@@ -70,7 +76,7 @@ def poly_eval(p: Polynomial, x, tower: Tower | None = None):
         for c in reversed(p.coeffs[:-1]):
             acc = tower.mul(acc, x) + tower.embed(c, x.level)
         return acc
-    x = Fraction(x)
+    x = as_rational(x)
     acc = Fraction(0)
     for c in reversed(p.coeffs):
         acc = acc * x + c
@@ -106,16 +112,21 @@ def descend_cubic_root(p: Polynomial, tower: Tower, x0: TowerElement) -> Fractio
     return x.rational_value
 
 
+def _integer_coeffs(p: Polynomial) -> list[int]:
+    """A0..A3: the cubic's coefficients times the lcm of their denominators."""
+    _require_rational_cubic(p)
+    cs = p.coeffs[:4]
+    scale = math.lcm(*(c.denominator for c in cs))
+    return [c.numerator * (scale // c.denominator) for c in cs]
+
+
 def rrt_candidates(p: Polynomial) -> list[Fraction]:
     """Every rational that could be a root of the cubic, each once,
     ascending. After clearing denominators to integer coefficients
     A0..A3, let A_m be the lowest nonzero one, so that p = x^m * q with
     q(0) = A_m: the candidates are all +-n/d in lowest terms with
     n | |A_m| and d | |A3|, and 0 when m > 0."""
-    _require_rational_cubic(p)
-    cs = p.coeffs[:4]
-    scale = math.lcm(*(c.denominator for c in cs))
-    a = [int(c * scale) for c in cs]
+    a = _integer_coeffs(p)
     m = next(i for i, ai in enumerate(a) if ai)
     # each candidate once, as its coprime (n, d); no set, since CPython
     # hashes all multiples of 2^61 - 1 alike
@@ -128,9 +139,81 @@ def rrt_candidates(p: Polynomial) -> list[Fraction]:
 
 
 def rational_roots_cubic(p: Polynomial) -> list[Fraction]:
-    """The rational roots of the cubic, ascending. Complete: any rational
-    root is among the candidates."""
-    return [r for r in rrt_candidates(p) if poly_eval(p, r) == 0]
+    """The rational roots of the cubic, ascending, without factoring.
+
+    Clear denominators and write p = x^m * q with q(0) != 0. For q of
+    degree d with leading coefficient a, the monic integer polynomial
+    g(y) = a^(d-1) * q(y/a) has the integer root y exactly when q has
+    the rational root y/a. If disc(g) = 0, a closed form gives g's
+    repeated root, which is rational. Otherwise g is square-free modulo
+    the least prime p not dividing disc(g), so each root of g mod p
+    lifts to one root mod p^k by Newton's iteration (Hensel's lemma).
+    Every integer root y of g has |y| <= B = 1 + max |g_i| (Cauchy's
+    bound), so once p^k > 2B it is the symmetric residue of one lifted
+    root; each residue is tested exactly. Loos, SIAM J. Comput. 1983;
+    von zur Gathen and Gerhard, Modern Computer Algebra, ch. 15."""
+    a = _integer_coeffs(p)
+    m = next(i for i, ai in enumerate(a) if ai)
+    q = a[m:]
+    d, lead = len(q) - 1, q[-1]
+    g = [c * lead ** (d - 1 - i) for i, c in enumerate(q[:d])] + [1]
+    # q(0) != 0, so 0 is a root of p only through x^m
+    zero = [Fraction(0)] if m else []
+    return sorted([Fraction(y, lead) for y in _integer_roots(g)] + zero)
+
+
+def _integer_roots(g: list[int]) -> list[int]:
+    """The distinct integer roots of the monic integer polynomial g of
+    degree at most 3, coefficients constant first."""
+    d = len(g) - 1
+    if d < 2:
+        return [-g[0]] if d else []
+    if d == 2:
+        e, c = g[:2]
+        disc = c * c - 4 * e
+        if disc == 0:
+            return [-c // 2]
+    else:
+        e, c, b = g[:3]
+        disc = b * b * c * c - 4 * c**3 - 4 * b**3 * e - 27 * e * e + 18 * b * c * e
+        if disc == 0:
+            # roots r, r, t: b^2 - 3c = (r - t)^2 and 9e - bc = 2r(r - t)^2
+            h = b * b - 3 * c
+            if h == 0:
+                return [-b // 3]
+            r = (9 * e - b * c) // (2 * h)
+            return [r, -b - 2 * r]
+    p = next(p for p in itertools.count(2) if disc % p and _is_small_prime(p))
+    bound = 1 + max(map(abs, g))
+    dg = [i * gi for i, gi in enumerate(g)][1:]
+    roots = []
+    for r in range(p):
+        if _horner(g, r) % p:
+            continue
+        modulus = p
+        while modulus <= 2 * bound:
+            # g'(r) is a unit mod p, since p does not divide disc(g)
+            step = _horner(g, r) * pow(_horner(dg, r), -1, modulus)
+            modulus *= modulus
+            r = (r - step) % modulus
+        y = r - modulus if 2 * r > modulus else r
+        if _horner(g, y) == 0:
+            roots.append(y)
+    return roots
+
+
+def _is_small_prime(n: int) -> bool:
+    """Primality of n >= 2 by trial division, for the few n below the
+    least prime not dividing a discriminant."""
+    return all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
+def _horner(g: list[int], x: int) -> int:
+    """g(x) for integer coefficients g, constant first."""
+    acc = 0
+    for c in reversed(g):
+        acc = acc * x + c
+    return acc
 
 
 def constructible_root_verdict(p: Polynomial) -> Verdict:

@@ -58,7 +58,7 @@ from .errors import (
     NotAProperExtension,
     TowerFormatError,
 )
-from .exactnum import parse_integer, parse_rational
+from .exactnum import as_rational, parse_integer, parse_rational
 
 _ZERO = Fraction(0)
 
@@ -217,7 +217,8 @@ def _sqrt(a, k, squares):
 
 @dataclass(frozen=True)
 class TowerElement:
-    """An element of tower level `level`: 2^level rational coordinates."""
+    """An element of tower level `level`: 2^level rational coordinates,
+    each an int or a Fraction."""
 
     level: int
     coords: tuple[Fraction, ...]
@@ -225,7 +226,7 @@ class TowerElement:
     def __post_init__(self):
         if self.level < 0:
             raise ValueError(f"negative level {self.level}")
-        coords = tuple([c if type(c) is Fraction else Fraction(c) for c in self.coords])
+        coords = tuple([c if type(c) is Fraction else as_rational(c) for c in self.coords])
         if len(coords) != 1 << self.level:
             raise ValueError(
                 f"level {self.level} needs {1 << self.level} coordinates, "
@@ -272,7 +273,8 @@ class TowerElement:
         return TowerElement(self.level, a + tuple([-x for x in b]))
 
     def scale(self, q) -> TowerElement:
-        q = Fraction(q)
+        """q*x for q an int or a Fraction."""
+        q = as_rational(q)
         return TowerElement(self.level, tuple([q * x for x in self.coords]))
 
     def _check_level(self, other):
@@ -381,12 +383,13 @@ class Tower:
         return TowerElement(i, tuple(coords))
 
     def embed(self, q, level: int | None = None) -> TowerElement:
-        """The rational q as an element of the given level (default: top)."""
+        """The rational q (an int or a Fraction) as an element of the given
+        level (default: top)."""
         level = self.depth if level is None else level
         if not 0 <= level <= self.depth:
             raise LevelMismatch(f"level {level} out of range 0..{self.depth}")
         coords = [_ZERO] * (1 << level)
-        coords[0] = Fraction(q)
+        coords[0] = as_rational(q)
         return TowerElement(level, tuple(coords))
 
     def one(self, level: int | None = None) -> TowerElement:
@@ -408,7 +411,7 @@ class Tower:
                     f"got level {s.level}"
                 )
             return s
-        return self.embed(Fraction(s))
+        return self.embed(s)
 
     def adjoin_sqrt(self, s) -> Tower:
         """Extend by the positive square root of s (an element of the top
@@ -450,8 +453,8 @@ class Tower:
             raise NonRealExtension(
                 f"discriminant {_brief(disc)} is not positive; no real proper root"
             )
-        e = self.mul(disc, self.inv(self.mul(c2, c2).scale(4)))
-        shift = -self.mul(c1, self.inv(c2.scale(2)))
+        e = self.div(disc, self.mul(c2, c2).scale(4))
+        shift = -self.div(c1, c2.scale(2))
         w = self.sqrt(e)
         if w is not None:
             root = shift + w if branch == "+" else shift - w
@@ -518,7 +521,12 @@ class Tower:
         return self._leave(x.level, *self._inverse(*self._enter(x), x.level))
 
     def div(self, x: TowerElement, y: TowerElement) -> TowerElement:
-        return self.mul(x, self.inv(y))
+        """x/y as mul(x, inv(y)), with the same errors in the same order,
+        but with the inverse kept in the kernel: one conversion out."""
+        w, m = self._inverse(*self._enter(y), y.level)
+        a, da = self._enter(x)
+        x._check_level(y)
+        return self._leave(x.level, _mul(a, w, x.level, self._squares), da * m)
 
     def power(self, x: TowerElement, n: int) -> TowerElement:
         """x^n by square-and-multiply; negative n inverts first."""

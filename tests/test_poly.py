@@ -34,6 +34,10 @@ def test_polynomial_construction():
     with pytest.raises(ValueError):
         Polynomial(())
     # coefficients are rationals only
+    with pytest.raises(TypeError):
+        Polynomial((0.1, 0, 0, 1))
+    with pytest.raises(TypeError):
+        poly_eval(DOUBLE_CUBE, 0.1)
     for coeffs in ((Fraction(1), elt(0, 1)), (Q.embed(1),), (elt(1, 1, 0), elt(1, 0, 1))):
         with pytest.raises(TypeError):
             Polynomial(coeffs)
@@ -176,6 +180,89 @@ def test_rational_roots_cubic():
     # a zero constant term: x^3 - x and x^3 - 2x^2
     assert rational_roots_cubic(Polynomial((0, -1, 0, 1))) == [-1, 0, 1]
     assert rational_roots_cubic(Polynomial((0, 0, -2, 1))) == [0, 2]
+    with pytest.raises(ValueError):
+        rational_roots_cubic(Polynomial((-2, 0, 1)))
+
+
+def candidate_roots(p):
+    """The rational roots by the rational root theorem: every candidate,
+    tested exactly. A reference that lifts nothing."""
+    return [r for r in rrt_candidates(p) if poly_eval(p, r) == 0]
+
+
+def expand(lead, roots, quadratic=()):
+    """lead * prod(x - r), times x^2 + b*x + c when quadratic = (c, b),
+    as a Polynomial."""
+    coeffs = [lead]
+    for factor in [(-r, 1) for r in roots] + ([quadratic + (1,)] if quadratic else []):
+        prod = [Fraction(0)] * (len(coeffs) + len(factor) - 1)
+        for i, a in enumerate(coeffs):
+            for j, b in enumerate(factor):
+                prod[i + j] += a * b
+        coeffs = prod
+    return Polynomial(tuple(coeffs))
+
+
+def seeded_cubics(rng, count):
+    """Cubics with three rational roots (a double, a triple or zeros among
+    them), with one rational root times a quadratic, and with random
+    rational coefficients; leading coefficients of either sign."""
+    for i in range(count):
+        lead = Fraction(rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(1, 6))
+        r = [Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(3)]
+        kind = i % 6
+        if kind == 0:  # a double root
+            r[1] = r[0]
+        elif kind == 1:  # a triple root
+            r[1] = r[2] = r[0]
+        elif kind == 2:  # x^m * q for m = 1..3
+            r[: 1 + i // 6 % 3] = [Fraction(0)] * (1 + i // 6 % 3)
+        if kind == 3:
+            yield expand(lead, r[:1], (Fraction(rng.randint(-20, 20)), Fraction(rng.randint(-20, 20))))
+        elif kind == 4:
+            coeffs = [Fraction(rng.randint(-60, 60), rng.randint(1, 9)) for _ in range(3)]
+            yield Polynomial((*coeffs, lead))
+        else:
+            yield expand(lead, r)
+
+
+def test_rational_roots_match_the_candidate_filter():
+    cubics = list(seeded_cubics(random.Random(67), 300))
+    # every shape is present: repeated roots, m = 1..3, no rational root
+    assert {len(set(candidate_roots(p))) for p in cubics} == {0, 1, 2, 3}
+    assert {next(i for i, c in enumerate(p.coeffs) if c) for p in cubics} == {0, 1, 2, 3}
+    for p in cubics:
+        assert rational_roots_cubic(p) == candidate_roots(p), p
+
+
+def test_rational_roots_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for p in seeded_cubics(random.Random(71), 60):
+        poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)], x)
+        want = sorted(Fraction(int(r.p), int(r.q)) for r in sympy.roots(poly, filter="Q"))
+        assert rational_roots_cubic(p) == want, p
+
+
+def test_rational_roots_of_large_cubics_without_factoring():
+    # (x - P1)(x^2 + P2): factoring P1*P2 by rho took 14.9 s
+    p1, p2 = 10**15 + 37, 10**15 + 91
+    cubics = [(Polynomial((-p1 * p2, p2, -p1, 1)), [Fraction(p1)])]
+    rng = random.Random(73)
+    for digits in (30, 35, 40):
+        def big():
+            return rng.choice([-1, 1]) * rng.randrange(10 ** (digits - 1), 10**digits)
+
+        r, s, t = [Fraction(big(), abs(big())) for _ in range(3)]
+        b = Fraction(big())
+        # x^2 + b*x + b^2 has no real root
+        cubics.append((expand(Fraction(big()), [r], (b * b, b)), [r]))
+        cubics.append((expand(Fraction(big()), [r, s, t]), sorted({r, s, t})))
+        cubics.append((expand(Fraction(big(), abs(big())), [r, r, s]), sorted({r, s})))
+    for p, want in cubics:
+        start = time.perf_counter()
+        assert rational_roots_cubic(p) == want
+        assert time.perf_counter() - start < 0.05
 
 
 def test_rrt_completeness_planted_roots():

@@ -46,6 +46,26 @@ def test_element_construction():
     assert elt(2, 0, 0, 0, 0).is_zero
 
 
+def test_floats_and_text_are_refused():
+    # 0.1 is the binary 3602879701896397/36028797018963968, not 1/10
+    x = elt(1, 3, 1)
+    for build in (
+        lambda: TowerElement(0, (0.1,)),
+        lambda: TowerElement(1, (Fraction(1), 0.1)),
+        lambda: TowerElement(0, ("1/10",)),
+        lambda: x.scale(0.1),
+        lambda: Q_SQRT2.embed(0.1),
+        lambda: Q_SQRT2.embed(0.1, 0),
+        lambda: Q.adjoin_sqrt(0.1),
+        lambda: Q.adjoin_quadratic_root((-2, 0, 0.1), "+"),
+        lambda: Tower(((0.1,),)),
+    ):
+        with pytest.raises(TypeError):
+            build()
+    assert x.scale(True) == x.scale(1) == x
+    assert Q_SQRT2.embed(Fraction(1, 10), 0) == elt(0, Fraction(1, 10))
+
+
 def test_element_add_neg():
     assert elt(1, 1, 1) + elt(1, 3, 4) == elt(1, 4, 5)
     assert elt(0, Fraction(1, 2)) + elt(0, Fraction(1, 3)) == elt(0, Fraction(5, 6))
@@ -589,6 +609,32 @@ def test_numeric_consistency():
         assert abs(t.approx(x + y, 113) - (ax + ay)) < 1e-25 * (1 + abs(ax) + abs(ay))
         assert abs(t.approx(t.mul(x, y), 113) - ax * ay) < 1e-24 * (1 + abs(ax)) * (1 + abs(ay))
         assert abs(t.approx(t.inv(x), 113) - 1 / ax) < 1e-20 * (1 + 1 / abs(ax))
+
+
+def outcome(f):
+    """f()'s value, or its error's class and text."""
+    try:
+        return f()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_div_is_mul_by_the_inverse():
+    rng = random.Random(47)
+    for depth in (1, 2, 3, 4):
+        t = random_tower(rng, depth)
+        for level in (0, depth - 1, depth):
+            for _ in range(6):
+                x = random_element(rng, level)
+                y = random_element(rng, level, nonzero=True)
+                assert t.div(x, y) == t.mul(x, t.inv(y))
+    # the same errors in the same order: y outside the tower, y = 0, x
+    # outside the tower, then differing levels
+    t = random_tower(rng, 2)
+    elements = [elt(0, 0), elt(0, 3), elt(1, 0, 0), elt(1, 1, 2), elt(3, *range(8))]
+    for x in elements:
+        for y in elements:
+            assert outcome(lambda: t.div(x, y)) == outcome(lambda: t.mul(x, t.inv(y)))
 
 
 # -- integer kernel against the schoolbook reference ---------------------------

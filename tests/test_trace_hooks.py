@@ -50,7 +50,8 @@ def test_traced_function_exists(owner, name):
     assert callable(getattr(owner, name, None))
 
 
-def test_rrt_candidates_reads_divisors_from_the_poly_module(monkeypatch):
+@pytest.fixture
+def divisors_calls(monkeypatch):
     # the tracer counts exactnum.divisors by patching poly.divisors
     calls = []
 
@@ -59,6 +60,16 @@ def test_rrt_candidates_reads_divisors_from_the_poly_module(monkeypatch):
         return divisors(n)
 
     monkeypatch.setattr(poly, "divisors", counted)
+    return calls
+
+
+def test_rrt_candidates_reads_divisors_from_the_poly_module(divisors_calls):
     candidates = poly.rrt_candidates(parse_poly("[-999962000357, 0, 0, 12]"))
-    assert calls == [12, 999962000357]
+    assert divisors_calls == [12, 999962000357]
     assert len(candidates) == 2 * 4 * 6
+
+
+def test_rational_roots_cubic_factors_nothing(divisors_calls):
+    for text in ("[-999962000357, 0, 0, 12]", "[-6, 11, -6, 1]", "[0, 0, -2, 1]"):
+        poly.rational_roots_cubic(parse_poly(text))
+    assert divisors_calls == []
