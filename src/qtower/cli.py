@@ -14,7 +14,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .errors import QTowerError
-from .exactnum import parse_integer
+from .exactnum import parse_integer, rationals_text
 from .parser import eval_expr, parse_expr, parse_poly, tokenize
 from .poly import (
     Outcome,
@@ -126,10 +126,6 @@ def _split_bracket(rest: str, usage: str):
     return rest[: close + 1], rest[close + 1 :].strip()
 
 
-def _rationals_str(values) -> str:
-    return ", ".join(str(v) for v in values)
-
-
 def _dispatch(session: Session, line: str) -> tuple[Session, str]:
     word, _, rest = line.partition(" ")
     rest = rest.strip()
@@ -194,16 +190,16 @@ def _dispatch(session: Session, line: str) -> tuple[Session, str]:
         return session, f"member of level {level}: {format_element(projected, session)}"
 
     if word == "rrt":
-        return session, "candidates: " + _rationals_str(rrt_candidates(parse_poly(rest)))
+        return session, "candidates: " + rationals_text(rrt_candidates(parse_poly(rest)))
 
     if word == "roots":
         roots = rational_roots_cubic(parse_poly(rest))
-        return session, "rational roots: " + (_rationals_str(roots) if roots else "none")
+        return session, "rational roots: " + (rationals_text(roots) if roots else "none")
 
     if word == "verdict":
         verdict = constructible_root_verdict(parse_poly(rest))
         phrase = verdict.outcome.value
-        shown = _rationals_str(verdict.candidates_checked)
+        shown = rationals_text(verdict.candidates_checked)
         if verdict.outcome is Outcome.RATIONAL_ROOT_FOUND:
             return session, f"{phrase}: {verdict.root}; candidates checked: {shown}"
         return session, (

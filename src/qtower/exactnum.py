@@ -3,7 +3,8 @@
 Rationals are `fractions.Fraction` values: arbitrary precision, always in
 lowest terms with a positive denominator, zero canonically 0/1. Their
 text form is `p` or `p/q` in ASCII digits, with an optional leading minus:
-`str(q)` writes it, and `parse_rational` reads it.
+`rationals_text` writes it, and `parse_rational` reads it. Both name
+Python's int-string limit in the same words when a number passes it.
 """
 
 from __future__ import annotations
@@ -194,5 +195,18 @@ def ascii_int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise ValueError(f"number exceeds the {limit}-digit limit") from None
+        raise _digit_limit() from None
+
+
+def rationals_text(values, sep: str = ", ") -> str:
+    """The text forms of the rationals, joined by sep. A value past
+    Python's int-string limit raises the ValueError `ascii_int` raises;
+    one check covers the whole join, so each value costs only its `str`."""
+    try:
+        return sep.join([str(q) for q in values])
+    except ValueError:
+        raise _digit_limit() from None
+
+
+def _digit_limit() -> ValueError:
+    return ValueError(f"number exceeds the {sys.get_int_max_str_digits()}-digit limit")

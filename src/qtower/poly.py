@@ -56,13 +56,18 @@ class Outcome(Enum):
 class Verdict:
     """Result of a constructibility query on a rational cubic.
 
-    When no candidate rational root evaluates to zero, no root of the
-    cubic lies in any tower of real quadratic extensions; the checked
-    candidates are retained as the evidence."""
+    When no candidate rational root evaluates to zero, `root` is None and
+    no root of the cubic lies in any tower of real quadratic extensions;
+    the checked candidates are retained as the evidence."""
 
-    outcome: Outcome
     root: Fraction | None
     candidates_checked: tuple[Fraction, ...]
+
+    @property
+    def outcome(self) -> Outcome:
+        if self.root is None:
+            return Outcome.NO_ROOT_IN_ANY_TOWER
+        return Outcome.RATIONAL_ROOT_FOUND
 
 
 def poly_eval(p: Polynomial, x, tower: Tower | None = None):
@@ -223,6 +228,4 @@ def constructible_root_verdict(p: Polynomial) -> Verdict:
     every tower at once."""
     candidates = rrt_candidates(p)
     roots = [r for r in candidates if poly_eval(p, r) == 0]
-    if roots:
-        return Verdict(Outcome.RATIONAL_ROOT_FOUND, roots[0], tuple(candidates))
-    return Verdict(Outcome.NO_ROOT_IN_ANY_TOWER, None, tuple(candidates))
+    return Verdict(roots[0] if roots else None, tuple(candidates))

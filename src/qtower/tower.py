@@ -58,7 +58,7 @@ from .errors import (
     NotAProperExtension,
     TowerFormatError,
 )
-from .exactnum import as_rational, parse_integer, parse_rational
+from .exactnum import as_rational, parse_integer, parse_rational, rationals_text
 
 _ZERO = Fraction(0)
 
@@ -300,12 +300,12 @@ class TowerElement:
 
 def format_coords(coords) -> str:
     """Coordinates as `[c0, c1, ...]`, each in its `p` or `p/q` form."""
-    return "[" + ", ".join([str(c) for c in coords]) + "]"
+    return "[" + rationals_text(coords) + "]"
 
 
 def _brief(x: TowerElement) -> str:
     """Compact display for messages: plain rational when possible."""
-    return str(x.coords[0]) if x.is_rational else format_coords(x.coords)
+    return rationals_text(x.coords[:1]) if x.is_rational else format_coords(x.coords)
 
 
 @dataclass(frozen=True)
@@ -318,8 +318,8 @@ class Tower:
     Construction validates every level in order, so no invalid tower
     exists: square i needs 2^(i-1) coordinates (InvalidTower), must be
     positive (NonRealExtension) and must not be a square in level i-1
-    (NotAProperExtension, carrying the witness). The error names the
-    first failing level: `level i: <ErrorClass>: <message>`.
+    (NotAProperExtension, carrying the witness): `adjoin_sqrt`'s error, its
+    message prefixed by the first failing level, `level i: <ErrorClass>: `.
 
     Each tower holds its rescaled basis: `_scales[j]`, the product of the
     D_i over the set bits of j, and `_squares[i-1]` = D_i^2*s_i, an int
@@ -342,10 +342,8 @@ class Tower:
                     )
                 prefix = prefix.adjoin_sqrt(TowerElement(i - 1, sq))
             except (InvalidTower, NonRealExtension, NotAProperExtension) as exc:
-                message = f"level {i}: {type(exc).__name__}: {exc}"
-                if isinstance(exc, NotAProperExtension):
-                    raise NotAProperExtension(message, witness=exc.witness) from None
-                raise type(exc)(message) from None
+                exc.args = (f"level {i}: {type(exc).__name__}: {exc}",)
+                raise exc from None
         vars(self).update(vars(prefix))
 
     def _extended(self, s: TowerElement) -> Tower:
@@ -419,7 +417,8 @@ class Tower:
 
         s must be positive (NonRealExtension otherwise) and must not be a
         square in the current top field (NotAProperExtension, carrying the
-        in-field witness, otherwise).
+        in-field witness, otherwise). Every new level is proven here:
+        `Tower(levels)` and `adjoin_quadratic_root` extend through it.
         """
         s = self._as_top(s)
         if self.exact_sign(s) <= 0:
@@ -435,9 +434,9 @@ class Tower:
 
     def adjoin_quadratic_root(self, coeffs, branch: str) -> tuple[Tower, TowerElement]:
         """Extend by a root of c0 + c1*x + c2*x^2 with coefficients in the
-        top level, reducing to square-root adjunction by completing the
-        square. `branch` picks the root shift +sqrt(e) or -sqrt(e) where
-        e = (c1^2 - 4*c0*c2) / (2*c2)^2.
+        top level. Completing the square makes the roots shift +- sqrt(e),
+        shift = -c1/(2*c2) and e = (c1^2 - 4*c0*c2) / (2*c2)^2, so
+        `adjoin_sqrt(e)` proves and performs the step; `branch` picks +-.
 
         Returns the extended tower and the exact root. If the quadratic
         already splits in the field, raises NotAProperExtension carrying
@@ -449,32 +448,22 @@ class Tower:
         if c2.is_zero:
             raise ValueError("leading coefficient is zero; not a quadratic")
         disc = self.mul(c1, c1) - self.mul(c0, c2).scale(4)
-        if self.exact_sign(disc) <= 0:
+        shift = -self.div(c1, c2.scale(2))
+        try:
+            ext = self.adjoin_sqrt(self.div(disc, self.mul(c2, c2).scale(4)))
+        except NonRealExtension:
             raise NonRealExtension(
                 f"discriminant {_brief(disc)} is not positive; no real proper root"
-            )
-        e = self.div(disc, self.mul(c2, c2).scale(4))
-        shift = -self.div(c1, c2.scale(2))
-        w = self.sqrt(e)
-        if w is not None:
-            root = shift + w if branch == "+" else shift - w
+            ) from None
+        except NotAProperExtension as exc:
+            root = shift + exc.witness if branch == "+" else shift - exc.witness
             raise NotAProperExtension(
                 f"quadratic splits in the current field (root {_brief(root)})",
                 witness=root,
-            )
-        ext = self._extended(e)
-        top = ext.depth
-        g = ext.generator(top)
-        shift = ext.lift_to(shift, top)
-        root = shift + g if branch == "+" else shift - g
-        # Horner check; by construction this is exact, so a failure means
-        # a broken invariant in the tower we extended.
-        acc = ext.lift_to(c2, top)
-        for c in (c1, c0):
-            acc = ext.mul(acc, root) + ext.lift_to(c, top)
-        if not acc.is_zero:
-            raise InvalidTower("completed-square root fails to satisfy the quadratic")
-        return ext, root
+            ) from None
+        g = ext.generator(ext.depth)
+        shift = ext.lift_to(shift, ext.depth)
+        return ext, shift + g if branch == "+" else shift - g
 
     # -- arithmetic --------------------------------------------------------
 
@@ -685,7 +674,7 @@ def dumps_tower(tower: Tower) -> str:
     """Serialize to the line-based tower format (deterministic bytes)."""
     lines = [_MAGIC, f"levels {tower.depth}"]
     for i, sq in enumerate(tower.levels, start=1):
-        lines.append(f"square {i}: " + " ".join([str(c) for c in sq]))
+        lines.append(f"square {i}: " + rationals_text(sq, " "))
     return "\n".join(lines) + "\n"
 
 

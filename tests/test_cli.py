@@ -253,6 +253,50 @@ def test_execute_adjoin_root_in_field():
     assert "3/2" in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "command, usage",
+    [
+        ("adjoin-root [1,2] +", "usage: adjoin-root [c0,c1,c2] (+|-)"),
+        ("adjoin-root [1,0,1] x", "usage: adjoin-root [c0,c1,c2] (+|-)"),
+        ("descend [2,-2,-1,1]", "usage: descend [c0,c1,c2,c3] <expr>"),
+    ],
+)
+def test_bracket_commands_print_their_usage(command, usage):
+    with pytest.raises(CommandError) as info:
+        execute(session_with_sqrt2(), command)
+    assert str(info.value) == usage
+
+
+def test_numbers_past_the_digit_limit_are_named_when_written(tmp_path):
+    # 2^262144 has 78,914 digits: its sign and decimal are fine, its text is not
+    big = "((2^64)^64)^64"
+    limit = "ValueError: number exceeds the 4300-digit limit"
+    s, s2 = Session(), session_with_sqrt2()
+    for session, command in (
+        (s, f"eval {big}"),
+        (s, f"let a = {big}"),
+        (s2, "adjoin ((3^64)^64)^64 + g1"),
+    ):
+        with pytest.raises(CommandError) as info:
+            execute(session, command)
+        assert str(info.value) == limit
+    assert s == Session() and s2 == session_with_sqrt2()
+    assert execute(s, f"sign {big}")[1] == "1"
+    decimal, _ = execute(s, "set mode decimal")
+    assert execute(decimal, f"eval {big}")[1] == "1.61132571748576e+78913"
+    # a square of 6,166 digits reaches the tower only through adjoin-root,
+    # and save refuses it before the file is touched
+    path = tmp_path / "t.qt"
+    execute(s2, f"save {path}")
+    before = path.read_bytes()
+    big_square, out = execute(s, "adjoin-root [-(((2^64)^64)^5 + 1), 0, 1] +")
+    assert out == "adjoined g1; root bound to 'last': [0, 1] ≈ 3.52497141210838e+3082"
+    with pytest.raises(CommandError) as info:
+        execute(big_square, f"save {path}")
+    assert str(info.value) == limit
+    assert path.read_bytes() == before
+
+
 def test_execute_let_and_bindings():
     s = session_with_sqrt2()
     s, out = execute(s, "let a = 1 + g1")

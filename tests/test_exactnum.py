@@ -14,6 +14,7 @@ from qtower.exactnum import (
     divisors,
     parse_integer,
     parse_rational,
+    rationals_text,
 )
 
 
@@ -121,10 +122,20 @@ def test_parse_integer_rejects(bad):
 
 
 def test_format_rational():
-    # str(Fraction) writes the rational text form that parse_rational reads
-    assert str(Fraction(-16, 23)) == "-16/23"
-    assert str(Fraction(4, 2)) == "2"
-    assert str(Fraction(0)) == "0"
+    # rationals_text writes the rational text form that parse_rational reads
+    values = [Fraction(-16, 23), Fraction(4, 2), Fraction(0), 7]
+    assert rationals_text(values) == "-16/23, 2, 0, 7"
+    assert rationals_text(values, " ") == "-16/23 2 0 7"
+    assert rationals_text([]) == ""
     # round trip
     for text in ("0", "-7", "3/8", "-16/23"):
-        assert str(parse_rational(text)) == text
+        assert rationals_text([parse_rational(text)]) == text
+
+
+def test_readers_and_writer_name_the_digit_limit_alike():
+    # one message on both sides of Python's 4300-digit int-string limit
+    with pytest.raises(ValueError) as read:
+        parse_rational("7" * 5000)
+    with pytest.raises(ValueError) as written:
+        rationals_text([Fraction(1), Fraction(1, 10**5000)])
+    assert str(read.value) == str(written.value) == "number exceeds the 4300-digit limit"

@@ -1,7 +1,8 @@
 """No floating point enters the decision path: the modules that decide
 signs, squareness, inverses and verdicts, and the parser that feeds them,
 use no float or complex value, no math function beyond the integer ones,
-and no decimal, cmath or random module. Only the CLI's display uses decimal.
+and no decimal, cmath or random module. Only the CLI's display uses decimal,
+and the CLI uses nothing else from this list.
 """
 
 import ast
@@ -48,6 +49,12 @@ def float_uses(tree):
 def test_decision_modules_use_no_floating_point(name):
     path = Path(qtower.__file__).with_name(name)
     assert list(float_uses(ast.parse(path.read_text(), name))) == []
+
+
+def test_cli_uses_decimal_only_for_display():
+    path = Path(qtower.__file__).with_name("cli.py")
+    uses = [what for _, what in float_uses(ast.parse(path.read_text(), "cli.py"))]
+    assert uses == ["from decimal import"]
 
 
 def test_the_guard_sees_floating_point():

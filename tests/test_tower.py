@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from helpers import random_element, random_tower, ref_mul, ref_sign
+from helpers import random_element, random_rational, random_tower, ref_mul, ref_sign
 from qtower.errors import (
     DivisionByZero,
     InvalidTower,
@@ -20,6 +20,7 @@ from qtower.tower import (
     Tower,
     TowerElement,
     dumps_tower,
+    format_coords,
     load_tower,
     loads_tower,
     save_tower,
@@ -64,6 +65,13 @@ def test_floats_and_text_are_refused():
             build()
     assert x.scale(True) == x.scale(1) == x
     assert Q_SQRT2.embed(Fraction(1, 10), 0) == elt(0, Fraction(1, 10))
+
+
+def test_rational_value_needs_a_rational_element():
+    assert elt(1, Fraction(-7, 2), 0).rational_value == Fraction(-7, 2)
+    with pytest.raises(ValueError) as info:
+        Q_SQRT2.generator(1).rational_value
+    assert str(info.value) == "element is not rational"
 
 
 def test_element_add_neg():
@@ -208,6 +216,86 @@ def test_adjoin_quadratic_root_errors():
         Q.adjoin_quadratic_root((Fraction(-2), Fraction(0), Fraction(1)), "plus")
     with pytest.raises(NonRealExtension):
         Q.adjoin_quadratic_root((Fraction(1), Fraction(0), Fraction(1)), "+")
+
+
+def horner(levels, coeffs, x):
+    """c0 + x*(c1 + x*(...)) on coordinate tuples by the schoolbook product,
+    which shares nothing with the kernel that built x."""
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = tuple([a + b for a, b in zip(ref_mul(levels, acc, x), c)])
+    return acc
+
+
+def brief(x):
+    """An element as error messages show it."""
+    return str(x.coords[0]) if x.is_rational else format_coords(x.coords)
+
+
+@pytest.mark.parametrize("depth", range(4))
+def test_quadratic_roots_solve_their_quadratic(depth):
+    rng = random.Random(60 + depth)
+    t = random_tower(rng, depth)
+    solved = refused = 0
+    while solved < 4:
+        c0, c1 = random_element(rng, depth), random_element(rng, depth)
+        c2 = random_element(rng, depth, nonzero=True)
+        disc = t.mul(c1, c1) - t.mul(c0, c2).scale(4)
+        if t.exact_sign(disc) <= 0:
+            refused += 1
+            with pytest.raises(NonRealExtension) as info:
+                t.adjoin_quadratic_root((c0, c1, c2), "+")
+            assert str(info.value) == (
+                f"discriminant {brief(disc)} is not positive; no real proper root"
+            )
+            continue
+        solved += 1
+        ext, high = t.adjoin_quadratic_root((c0, c1, c2), "+")
+        same, low = t.adjoin_quadratic_root((c0, c1, c2), "-")
+        assert same == ext and ext.levels[:depth] == t.levels
+        coeffs = [ext.lift_to(c, depth + 1).coords for c in (c0, c1, c2)]
+        for root in (high, low):
+            assert not any(horner(ext.levels, coeffs, root.coords))
+        assert ext.exact_sign(high - low) > 0  # '+' is the larger root
+    assert refused  # both outcomes were drawn
+
+
+@pytest.mark.parametrize("depth", range(4))
+def test_split_quadratics_name_the_root_of_their_branch(depth):
+    rng = random.Random(70 + depth)
+    t = random_tower(rng, depth)
+    pairs = [(t.embed(random_rational(rng)), t.embed(random_rational(rng)))]
+    pairs += [(random_element(rng, depth), random_element(rng, depth)) for _ in range(3)]
+    for r1, r2 in pairs:
+        # c2*(x - r1)*(x - r2)
+        c2 = random_element(rng, depth, nonzero=True)
+        coeffs = (t.mul(c2, t.mul(r1, r2)), -t.mul(c2, r1 + r2), c2)
+        high, low = (r1, r2) if t.exact_sign(r1 - r2) > 0 else (r2, r1)
+        for branch, root in (("+", high), ("-", low)):
+            with pytest.raises(NotAProperExtension) as info:
+                t.adjoin_quadratic_root(coeffs, branch)
+            assert info.value.witness == root
+            assert str(info.value) == (
+                f"quadratic splits in the current field (root {brief(root)})"
+            )
+
+
+@pytest.mark.parametrize("depth", range(4))
+def test_non_positive_discriminants_are_named(depth):
+    rng = random.Random(80 + depth)
+    t = random_tower(rng, depth)
+    for q in (Fraction(0), Fraction(rng.randint(1, 100), rng.randint(1, 100))):
+        # c2*((x + c1/(2*c2))^2 + q) has discriminant -4*q*c2^2
+        c1, c2 = random_element(rng, depth), random_element(rng, depth, nonzero=True)
+        u = t.div(c1, c2.scale(2))
+        c0 = t.mul(c2, t.mul(u, u) + t.embed(q))
+        disc = t.mul(c2, c2).scale(-4 * q)
+        for branch in "+-":
+            with pytest.raises(NonRealExtension) as info:
+                t.adjoin_quadratic_root((c0, c1, c2), branch)
+            assert str(info.value) == (
+                f"discriminant {brief(disc)} is not positive; no real proper root"
+            )
 
 
 # -- validation ----------------------------------------------------------------
@@ -915,6 +1003,20 @@ def test_save_tower_overwrites_in_place(tmp_path):
     save_tower(deep, os.devnull)
 
 
+def test_save_refuses_a_coordinate_past_the_digit_limit(tmp_path):
+    # 2^20000 + 1 has 6,021 digits; the error comes before the file is opened
+    t = Tower().adjoin_sqrt(2**20000 + 1)
+    kept, absent = tmp_path / "kept.qt", tmp_path / "absent.qt"
+    save_tower(Q_SQRT2, kept)
+    before = kept.read_bytes()
+    for path in (kept, absent):
+        with pytest.raises(ValueError) as info:
+            save_tower(t, path)
+        assert str(info.value) == "number exceeds the 4300-digit limit"
+    assert kept.read_bytes() == before
+    assert not absent.exists()
+
+
 def test_loads_tower_comments_and_blanks():
     text = "# a tower\nQTOWER 1\n\nlevels 1\nsquare 1: 2  # sqrt2\n"
     assert loads_tower(text) == Tower(((Fraction(2),),))
@@ -928,6 +1030,12 @@ def test_loads_tower_rejects_square():
 def test_loads_tower_rejects_negative():
     with pytest.raises(NonRealExtension):
         loads_tower("QTOWER 1\nlevels 1\nsquare 1: -2\n")
+
+
+def test_loads_tower_needs_its_levels_line():
+    with pytest.raises(TowerFormatError) as info:
+        loads_tower("QTOWER 1\nsquare 1: 2\n")
+    assert str(info.value) == "missing 'levels <n>' line"
 
 
 def test_loads_tower_rejects_bad_length():
