@@ -149,6 +149,13 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
+# token kind -> operator, one dict per binary tier, loosest first
+_BINARY_OPS = ({"PLUS": "+", "MINUS": "-"}, {"STAR": "*", "SLASH": "/"})
+
+# token kind -> node for the atoms that are a single token
+_LEAVES = {"RAT": RationalLiteral, "GEN": GeneratorRef, "NAME": Name}
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
@@ -184,21 +191,16 @@ class _Parser:
             raise ParseError(f"expression deeper than {MAX_DEPTH} levels", tok.pos)
         return reach
 
-    def expr(self, depth):
-        node, reach = self.term(depth)
-        while self.peek().kind in ("PLUS", "MINUS"):
+    def expr(self, depth, tier=0):
+        """Operands of the next tier joined left to right by this tier's
+        operators: tier 0 joins terms by '+' and '-', tier 1 factors by
+        '*' and '/'."""
+        ops = _BINARY_OPS[tier]
+        node, reach = self.factor(depth) if tier else self.expr(depth, 1)
+        while self.peek().kind in ops:
             op = self.advance()
-            right, right_reach = self.term(depth)
-            node = BinOp("+" if op.kind == "PLUS" else "-", node, right)
-            reach = self.bounded(max(reach, right_reach) + 1, op)
-        return node, reach
-
-    def term(self, depth):
-        node, reach = self.factor(depth)
-        while self.peek().kind in ("STAR", "SLASH"):
-            op = self.advance()
-            right, right_reach = self.factor(depth)
-            node = BinOp("*" if op.kind == "STAR" else "/", node, right)
+            right, right_reach = self.factor(depth) if tier else self.expr(depth, 1)
+            node = BinOp(ops[op.kind], node, right)
             reach = self.bounded(max(reach, right_reach) + 1, op)
         return node, reach
 
@@ -232,26 +234,16 @@ class _Parser:
 
     def atom(self, depth):
         tok = self.peek()
-        if tok.kind == "RAT":
+        if tok.kind in _LEAVES:
             self.advance()
-            return RationalLiteral(tok.value), depth + 1
-        if tok.kind == "GEN":
+            return _LEAVES[tok.kind](tok.value), depth + 1
+        if tok.kind in ("SQRT", "LPAREN"):
             self.advance()
-            return GeneratorRef(tok.value), depth + 1
-        if tok.kind == "NAME":
-            self.advance()
-            return Name(tok.value), depth + 1
-        if tok.kind == "SQRT":
-            self.advance()
-            self.expect("LPAREN", "'(' after sqrt")
+            if tok.kind == "SQRT":
+                self.expect("LPAREN", "'(' after sqrt")
             inner, reach = self.expr(depth + 1)
             self.expect("RPAREN", "')'")
-            return Sqrt(inner), reach
-        if tok.kind == "LPAREN":
-            self.advance()
-            inner, reach = self.expr(depth + 1)
-            self.expect("RPAREN", "')'")
-            return inner, reach
+            return (Sqrt(inner) if tok.kind == "SQRT" else inner), reach
         raise ParseError(
             f"expected an atom, got {tok.text or 'end of input'!r}", tok.pos
         )

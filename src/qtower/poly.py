@@ -5,6 +5,8 @@ A cubic with no rational root has no root in any tower of real
 quadratic extensions, because a root at level k forces (via the
 conjugate-root factorization) a root at level k-1, and so on down to Q.
 `descend_cubic_root` is that argument run forward as an algorithm.
+Every cubic procedure starts from `_integer_coeffs`, the one integer
+form of the cubic and the one check of its degree.
 
 Two procedures find the rational roots. `rational_roots_cubic` lifts
 the roots of a monic integer cubic modulo one small prime (p-adic
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import InvalidTower
 from .exactnum import as_rational, divisors
 from .tower import Tower, TowerElement
 
@@ -81,16 +82,7 @@ def poly_eval(p: Polynomial, x, tower: Tower | None = None):
         for c in reversed(p.coeffs[:-1]):
             acc = tower.mul(acc, x) + tower.embed(c, x.level)
         return acc
-    x = as_rational(x)
-    acc = Fraction(0)
-    for c in reversed(p.coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _require_rational_cubic(p: Polynomial):
-    if p.degree != 3:
-        raise ValueError(f"degree must be exactly 3, got {p.degree}")
+    return _horner(p.coeffs, as_rational(x))
 
 
 def descend_cubic_root(p: Polynomial, tower: Tower, x0: TowerElement) -> Fraction:
@@ -100,10 +92,12 @@ def descend_cubic_root(p: Polynomial, tower: Tower, x0: TowerElement) -> Fractio
     At each level: if the extension part of the current root is zero,
     project into the subfield; otherwise replace it by the remaining
     root of the factorization a3*(x - x0)*(x - conj(x0))*(x - C), namely
-    C = -a2/a3 - (x0 + conj(x0)), which lives one level down. The root
-    property is re-verified exactly after every step."""
-    _require_rational_cubic(p)
-    a2, a3 = p.coeffs[2], p.coeffs[3]
+    C = -a2/a3 - (x0 + conj(x0)), which lives one level down. Only x0 is
+    tested: being of degree 1 or 2 over Q, it is a + b*sqrt(d) with a, b
+    rational, so the first such step lands on the rational -a2/a3 - 2a
+    and later levels only project it; testing each level would evaluate
+    the cubic at that one rational again and again."""
+    a, _ = _integer_coeffs(p)
     if not poly_eval(p, x0, tower).is_zero:
         raise ValueError("x0 is not a root of the cubic")
     x = x0
@@ -111,18 +105,19 @@ def descend_cubic_root(p: Polynomial, tower: Tower, x0: TowerElement) -> Fractio
         if x.extension_part().is_zero:
             x = x.subfield_part()
         else:
-            x = tower.embed(-a2 / a3, x.level - 1) - x.subfield_part().scale(2)
-        if not poly_eval(p, x, tower).is_zero:
-            raise InvalidTower("descent lost the root; tower invariant violated")
+            x = tower.embed(Fraction(-a[2], a[3]), x.level - 1) - x.subfield_part().scale(2)
     return x.rational_value
 
 
-def _integer_coeffs(p: Polynomial) -> list[int]:
-    """A0..A3: the cubic's coefficients times the lcm of their denominators."""
-    _require_rational_cubic(p)
+def _integer_coeffs(p: Polynomial) -> tuple[list[int], int]:
+    """(A, m): A0..A3, the cubic's coefficients times the lcm of their
+    denominators, and the index m of the lowest nonzero one."""
+    if p.degree != 3:
+        raise ValueError(f"degree must be exactly 3, got {p.degree}")
     cs = p.coeffs[:4]
     scale = math.lcm(*(c.denominator for c in cs))
-    return [c.numerator * (scale // c.denominator) for c in cs]
+    a = [c.numerator * (scale // c.denominator) for c in cs]
+    return a, next(i for i, ai in enumerate(a) if ai)
 
 
 def rrt_candidates(p: Polynomial) -> list[Fraction]:
@@ -131,8 +126,7 @@ def rrt_candidates(p: Polynomial) -> list[Fraction]:
     A0..A3, let A_m be the lowest nonzero one, so that p = x^m * q with
     q(0) = A_m: the candidates are all +-n/d in lowest terms with
     n | |A_m| and d | |A3|, and 0 when m > 0."""
-    a = _integer_coeffs(p)
-    m = next(i for i, ai in enumerate(a) if ai)
+    a, m = _integer_coeffs(p)
     # each candidate once, as its coprime (n, d); no set, since CPython
     # hashes all multiples of 2^61 - 1 alike
     dens = divisors(abs(a[3]))
@@ -157,8 +151,7 @@ def rational_roots_cubic(p: Polynomial) -> list[Fraction]:
     bound), so once p^k > 2B it is the symmetric residue of one lifted
     root; each residue is tested exactly. Loos, SIAM J. Comput. 1983;
     von zur Gathen and Gerhard, Modern Computer Algebra, ch. 15."""
-    a = _integer_coeffs(p)
-    m = next(i for i, ai in enumerate(a) if ai)
+    a, m = _integer_coeffs(p)
     q = a[m:]
     d, lead = len(q) - 1, q[-1]
     g = [c * lead ** (d - 1 - i) for i, c in enumerate(q[:d])] + [1]
@@ -188,7 +181,8 @@ def _integer_roots(g: list[int]) -> list[int]:
                 return [-b // 3]
             r = (9 * e - b * c) // (2 * h)
             return [r, -b - 2 * r]
-    p = next(p for p in itertools.count(2) if disc % p and _is_small_prime(p))
+    # the least n prime to disc is prime: smaller n's factors divide disc
+    p = next(n for n in itertools.count(2) if math.gcd(disc, n) == 1)
     bound = 1 + max(map(abs, g))
     dg = [i * gi for i, gi in enumerate(g)][1:]
     roots = []
@@ -207,14 +201,8 @@ def _integer_roots(g: list[int]) -> list[int]:
     return roots
 
 
-def _is_small_prime(n: int) -> bool:
-    """Primality of n >= 2 by trial division, for the few n below the
-    least prime not dividing a discriminant."""
-    return all(n % f for f in range(2, math.isqrt(n) + 1))
-
-
-def _horner(g: list[int], x: int) -> int:
-    """g(x) for integer coefficients g, constant first."""
+def _horner(g, x):
+    """g(x) for coefficients g, constant first; ints or Fractions."""
     acc = 0
     for c in reversed(g):
         acc = acc * x + c

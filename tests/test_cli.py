@@ -646,6 +646,21 @@ def test_repl_eof_exits():
     assert repl(infile=io.StringIO(""), out=io.StringIO()) == 0
 
 
+def test_main_repl_reads_stdin_until_quit(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("quit\n"))
+    assert main(["repl"]) == 0
+    assert capsys.readouterr().out.endswith("qtower> ")
+
+
+def test_main_repl_with_a_missing_tower_file(tmp_path, capsys):
+    missing = tmp_path / "absent.qt"
+    assert main(["repl", "--tower", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cannot load tower: ")
+    assert str(missing) in captured.err
+
+
 # -- main --------------------------------------------------------------------------
 
 

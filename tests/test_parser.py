@@ -268,6 +268,11 @@ def test_eval_leaves_no_reference_cycle():
         gc.enable()
 
 
+def test_eval_refuses_what_is_not_a_node():
+    with pytest.raises(TypeError, match="^not an expression node: <object object at "):
+        eval_expr(object(), Tower())
+
+
 # -- polynomial literals ----------------------------------------------------------
 
 

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -113,6 +115,38 @@ def test_descend_cubic_root_random_constructions():
         p = Polynomial((a3 * r * s, -a3 * s, -a3 * r, a3))
         assert descend_cubic_root(p, ext, root) == r
         done += 1
+
+
+def rational_square_tower(rng, depth):
+    """A tower of `depth` levels whose squares are rationals, and the squares."""
+    t, squares = Tower(), []
+    while t.depth < depth:
+        s = Fraction(rng.randint(2, 60), rng.randint(1, 6))
+        if t.is_square(t.embed(s)) is None:
+            t, squares = t.adjoin_sqrt(s), squares + [s]
+    return t, squares
+
+
+def test_descend_from_quadratic_irrationals_in_rational_square_towers():
+    # x0 = a + b*M with M a product of generators, so M^2 is rational and x0,
+    # its conjugate a - b*M and r are the roots of a3*(x - r)*(x^2 - 2a*x +
+    # a^2 - b^2*M^2); the descent must reach r from each, and from r itself
+    rng = random.Random(79)
+    for depth in (1, 2, 3):
+        for _ in range(8):
+            t, squares = rational_square_tower(rng, depth)
+            gens = [i for i in range(1, depth + 1) if rng.random() < 0.5] or [depth]
+            m = t.embed(1)
+            for i in gens:
+                m = t.mul(m, t.lift_to(t.generator(i), depth))
+            m_squared = math.prod(squares[i - 1] for i in gens)
+            a = random_rational(rng, 20)
+            b = Fraction(rng.choice([-1, 1]) * rng.randint(1, 20), rng.randint(1, 20))
+            r = random_rational(rng, 20)
+            a3 = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+            p = expand(a3, [r], (a * a - b * b * m_squared, -2 * a))
+            for x0 in (t.embed(a) + m.scale(b), t.embed(a) - m.scale(b), t.embed(r)):
+                assert descend_cubic_root(p, t, x0) == r
 
 
 def test_descend_cubic_root_errors():
@@ -263,6 +297,63 @@ def test_rational_roots_of_large_cubics_without_factoring():
         start = time.perf_counter()
         assert rational_roots_cubic(p) == want
         assert time.perf_counter() - start < 0.05
+
+
+def least_prime_not_dividing(n):
+    return next(q for q in itertools.count(2) if n % q and all(q % f for f in range(2, q)))
+
+
+PRIMORIAL_13 = 2 * 3 * 5 * 7 * 11 * 13
+PRIMORIAL_97 = math.prod(q for q in range(2, 98) if all(q % f for f in range(2, q)))
+
+
+@pytest.mark.parametrize(
+    "primorial, ks",
+    [(PRIMORIAL_13, (4, 5, -190)), (PRIMORIAL_97, (20, 35, -187))],
+    ids=["p17", "p101"],
+)
+def test_lifting_when_the_least_prime_is_large(primorial, ks):
+    # the roots of g (the monic integer form of the cubic) differ by
+    # multiples of the primorial, so every prime up to it divides disc(g)
+    # and the lifting runs modulo the next prime, 17 or 101
+    least = least_prime_not_dividing(primorial)
+    a = 7
+    # each 1 + k*primorial is prime up to sign, so the candidate filter factors
+    # the constant terms below at once
+    n, n2, n3 = (1 + k * primorial for k in ks)
+    kp = n - 1
+    cubics = [
+        # (cubic, disc(g), its rational roots)
+        # (x - 1)(x^2 - 2x + n): disc(x^2 - 2x + n) * (1 - 2 + n)^2
+        (expand(Fraction(1), [Fraction(1)], (Fraction(n), Fraction(-2))), -4 * kp**3, [1]),
+        # the same in a*x: g's roots are a^2 times those above
+        (
+            expand(Fraction(a**3), [Fraction(1, a)], (Fraction(n, a * a), Fraction(-2, a))),
+            a**12 * -4 * kp**3,
+            [Fraction(1, a)],
+        ),
+        # x * (x - 1)(x - n) and x * (a*x - 1)(a*x - n): g is the quadratic
+        (expand(Fraction(1), [Fraction(0), Fraction(1), Fraction(n)]), kp**2, [0, 1, n]),
+        (
+            expand(Fraction(a * a), [Fraction(0), Fraction(1, a), Fraction(n, a)]),
+            a * a * kp**2,
+            [0, Fraction(1, a), Fraction(n, a)],
+        ),
+    ]
+    for p, disc, want in cubics:
+        assert least_prime_not_dividing(disc) == least
+        assert candidate_roots(p) == want
+        start = time.perf_counter()
+        assert rational_roots_cubic(p) == want
+        assert time.perf_counter() - start < 0.05
+    # three integer roots: too many large primes in A0 for the candidate
+    # filter at the larger primorial, so the planted roots are the reference
+    p = expand(Fraction(1), [Fraction(r) for r in (n, n2, n3)])
+    disc = math.prod((x - y) ** 2 for x, y in itertools.combinations((n, n2, n3), 2))
+    assert least_prime_not_dividing(disc) == least
+    start = time.perf_counter()
+    assert rational_roots_cubic(p) == sorted([n, n2, n3])
+    assert time.perf_counter() - start < 0.05
 
 
 def test_rrt_completeness_planted_roots():

@@ -74,6 +74,14 @@ def test_rational_value_needs_a_rational_element():
     assert str(info.value) == "element is not rational"
 
 
+def test_reprs():
+    assert repr(Tower([[2], [3, 0]])) == "Tower([[2], [3, 0]])"
+    # the README's quotient (3 - sqrt(2)) * sqrt(2) / (sqrt(2) + 5)
+    g = Q_SQRT2.generator(1)
+    quotient = Q_SQRT2.div(Q_SQRT2.mul(Q_SQRT2.embed(3) - g, g), g + Q_SQRT2.embed(5))
+    assert repr(quotient) == "TowerElement(1, [-16/23, 17/23])"
+
+
 def test_element_add_neg():
     assert elt(1, 1, 1) + elt(1, 3, 4) == elt(1, 4, 5)
     assert elt(0, Fraction(1, 2)) + elt(0, Fraction(1, 3)) == elt(0, Fraction(5, 6))
