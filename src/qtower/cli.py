@@ -78,7 +78,7 @@ class Session:
 
 
 def positive_bits(text: str) -> int:
-    """Precision bits, a positive ASCII integer; argparse names it in errors."""
+    """Precision bits, a positive ASCII integer, or a ValueError saying why not."""
     try:
         bits = parse_integer(text)
     except ValueError:
@@ -358,6 +358,12 @@ def _one_shot(command: str, session: Session | None = None) -> int:
 def main(argv=None) -> int:
     import argparse  # only the command line needs it, not sessions or the REPL loop
 
+    def precision(text):  # argparse prints an ArgumentTypeError's own text
+        try:
+            return positive_bits(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
     parser = argparse.ArgumentParser(
         prog="qtower",
         description="Exact arithmetic in towers of real quadratic field "
@@ -377,7 +383,7 @@ def main(argv=None) -> int:
     p_eval.add_argument("expr")
     for p in (p_repl, p_run, p_eval):
         p.add_argument("--tower", help="tower file to preload")
-        p.add_argument("--precision", type=positive_bits, help="approximation bits (default 113)")
+        p.add_argument("--precision", type=precision, help="approximation bits (default 113)")
         p.add_argument("--mode", choices=MODES, help="output mode (default both)")
 
     args = parser.parse_args(argv)

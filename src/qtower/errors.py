@@ -39,7 +39,7 @@ class NotAProperExtension(QTowerError):
 
 
 class InvalidTower(QTowerError):
-    """A tower invariant is violated (detected mid-computation)."""
+    """A level with the wrong number of coordinates, refused by `Tower(levels)`."""
 
 
 class NotASquareInTower(QTowerError):

@@ -11,9 +11,9 @@ Grammar (whitespace insensitive, offsets are 0-based characters):
 Left associative throughout; unary minus binds tighter than '*' and '/'
 but looser than '^', so -2^2 is -(2^2). Trees deeper than MAX_DEPTH
 levels, a parenthesized group counting as one, are refused. Rationals are
-unsigned `p` or `p/q` tokens of ASCII digits; a leading '-' is always the
-operator. Names resolve against REPL bindings at evaluation time; parsing
-never consults tower state.
+unsigned `p` or `p/q` tokens of ASCII digits, read as tower files read
+them; a leading '-' is always the operator. Names resolve against REPL
+bindings at evaluation time; parsing never consults tower state.
 
 Polynomial literals are `[c0, c1, ..., cd]` with rational entries,
 constant term first.
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotASquareInTower, ParseError
-from .exactnum import ascii_int
+from .exactnum import ascii_int, parse_rational
 from .poly import Polynomial
 from .tower import Tower, TowerElement
 
@@ -46,8 +46,7 @@ _TOKEN_CHARS = {
     ",": "COMMA",
 }
 
-_RAT_RE = re.compile(r"[0-9]+(?:/[0-9]+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_WORD_RE = re.compile(r"([0-9]+(?:/[0-9]+)?)|[A-Za-z_][A-Za-z0-9_]*")  # a rational, or a word
 _GEN_RE = re.compile(r"g([0-9]+)$")
 
 
@@ -100,14 +99,6 @@ class Name:
     name: str
 
 
-def _digits(text: str, pos: int) -> int:
-    """ASCII digits as an int, or a ParseError past Python's int-string limit."""
-    try:
-        return ascii_int(text)
-    except ValueError as exc:
-        raise ParseError(str(exc), pos) from None
-
-
 def tokenize(text: str) -> list[Token]:
     """Scan text into tokens, ending with an EOF token at len(text)."""
     tokens = []
@@ -121,30 +112,22 @@ def tokenize(text: str) -> list[Token]:
             tokens.append(Token(_TOKEN_CHARS[c], c, i))
             i += 1
             continue
-        m = _RAT_RE.match(text, i)
-        if m:
-            raw = m.group(0)
-            num, _, den = raw.partition("/")
-            num, den = _digits(num, i), _digits(den, i) if den else None
-            if den == 0:
-                raise ParseError(f"zero denominator in {raw!r}", i)
-            value = Fraction(num) if den is None else Fraction(num, den)
-            tokens.append(Token("RAT", raw, i, value))
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            word = m.group(0)
-            gen = _GEN_RE.match(word)
-            if word == "sqrt":
+        m = _WORD_RE.match(text, i)
+        if m is None:
+            raise ParseError(f"unexpected character {c!r}", i)
+        word = m.group()
+        try:
+            if m.group(1):
+                tokens.append(Token("RAT", word, i, parse_rational(word)))
+            elif word == "sqrt":
                 tokens.append(Token("SQRT", word, i))
-            elif gen:
-                tokens.append(Token("GEN", word, i, _digits(gen.group(1), i)))
+            elif gen := _GEN_RE.match(word):
+                tokens.append(Token("GEN", word, i, ascii_int(gen.group(1))))
             else:
                 tokens.append(Token("NAME", word, i, word))
-            i = m.end()
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
+        except ValueError as exc:  # a zero denominator or the digit limit
+            raise ParseError(str(exc), i) from None
+        i = m.end()
     tokens.append(Token("EOF", "", len(text)))
     return tokens
 

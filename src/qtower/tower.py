@@ -154,10 +154,7 @@ def _inv(a, k, squares):
     if not any(ext):
         v, m = _inv(sub, k, squares)
         return v + [0] * h, m
-    norm = _norm(sub, ext, k, squares)
-    if not any(norm):
-        raise InvalidTower("norm of a nonzero element vanished")
-    v, m = _inv(norm, k, squares)
+    v, m = _inv(_norm(sub, ext, k, squares), k, squares)
     high = [-x for x in _mul(ext, v, k, squares)]
     return _reduced(_mul(sub, v, k, squares) + high, m)
 
@@ -337,8 +334,7 @@ class Tower:
             try:
                 if len(sq) != 1 << (i - 1):
                     raise InvalidTower(
-                        f"level {i}: expected {1 << (i - 1)} square coordinates, "
-                        f"got {len(sq)}"
+                        f"expected {1 << (i - 1)} square coordinates, got {len(sq)}"
                     )
                 prefix = prefix.adjoin_sqrt(TowerElement(i - 1, sq))
             except (InvalidTower, NonRealExtension, NotAProperExtension) as exc:
@@ -504,8 +500,8 @@ class Tower:
         """Exact multiplicative inverse via the conjugate: 1/(a + b*g) =
         (a - b*g) / N with norm N = a^2 - s*b^2 inverted one level down.
 
-        N = 0 for nonzero x is impossible in a valid tower; hitting it
-        raises InvalidTower.
+        N = 0 with b != 0 would make s a square one level down, which
+        `adjoin_sqrt` refuses for every level, so N is never zero.
         """
         return self._leave(x.level, *self._inverse(*self._enter(x), x.level))
 

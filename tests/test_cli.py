@@ -24,7 +24,9 @@ from qtower.cli import (
     repl,
     run_batch,
 )
-from qtower.tower import Tower, TowerElement
+from qtower.errors import ParseError, TowerFormatError
+from qtower.parser import parse_expr, parse_poly, tokenize
+from qtower.tower import Tower, TowerElement, loads_tower
 
 
 def session_with_sqrt2():
@@ -353,6 +355,31 @@ def test_execute_load_invalid(tmp_path):
     assert "NotAProperExtension" in str(info.value)
 
 
+def test_execute_load_of_a_level_with_too_few_coordinates(tmp_path):
+    path = tmp_path / "short.qt"
+    path.write_text("QTOWER 1\nlevels 2\nsquare 1: 2\nsquare 2: 3\n")
+    with pytest.raises(CommandError) as info:
+        execute(Session(), f"load {path}")
+    assert str(info.value) == (
+        "InvalidTower: level 2: InvalidTower: expected 2 square coordinates, got 1"
+    )
+
+
+def test_zero_denominator_reads_alike_everywhere():
+    # one reader, exactnum.parse_rational, for expressions and tower files
+    message = "zero denominator: '2/0'"
+    for read, text in ((tokenize, "1 + 2/0"), (parse_expr, "1 + 2/0"), (parse_poly, "[1, 2/0]")):
+        with pytest.raises(ParseError) as info:
+            read(text)
+        assert str(info.value) == f"{message} (offset 4)"
+    with pytest.raises(CommandError) as info:
+        execute(Session(), "eval 1 + 2/0")
+    assert str(info.value) == f"ParseError: {message} (offset 4)"
+    with pytest.raises(TowerFormatError) as info:
+        loads_tower("QTOWER 1\nlevels 1\nsquare 1: 2/0\n")
+    assert str(info.value) == f"square 1: {message}"
+
+
 def test_adjoin_and_load_validate_each_level_once(tmp_path, monkeypatch):
     # each level is validated once and rescaled once, when it is added
     calls, rescaled = [], []
@@ -451,7 +478,7 @@ def test_cli_integers_are_ascii_digits(capsys):
     with pytest.raises(SystemExit) as info:
         main(["eval", "--precision", "١٢", "1/3"])
     assert info.value.code == 2
-    assert "argument --precision: invalid positive_bits value: '١٢'" in capsys.readouterr().err
+    assert "argument --precision: not a precision: '١٢'" in capsys.readouterr().err
 
 
 def test_inline_comments_in_sessions():
@@ -609,7 +636,7 @@ def test_precision_is_capped(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         main(["eval", "--precision", "1000000", "1/3"])
     assert info.value.code == 2
-    assert "argument --precision: invalid positive_bits value: '1000000'" in capsys.readouterr().err
+    assert f"argument --precision: {message}\n" in capsys.readouterr().err
     s, out = execute(Session(), f"set precision {MAX_PRECISION}")
     assert out == f"precision = {MAX_PRECISION}"
     s, out = execute(s, "set precision 4096")
@@ -734,7 +761,7 @@ def test_main_refuses_non_positive_precision(tmp_path, capsys, value):
             main(argv)
         assert info.value.code == 2
         err = capsys.readouterr().err
-        assert f"argument --precision: invalid positive_bits value: '{value}'" in err
+        assert "argument --precision: precision must be a positive number of bits\n" in err
 
 
 def test_main_run(tmp_path, capsys):

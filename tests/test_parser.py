@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtower.errors import (
     DivisionByZero,
@@ -10,6 +12,7 @@ from qtower.errors import (
     NotASquareInTower,
     ParseError,
 )
+from qtower.exactnum import parse_rational
 from qtower.parser import (
     MAX_DEPTH,
     BinOp,
@@ -69,6 +72,30 @@ def test_tokenize_lex_error_position():
 def test_tokenize_zero_denominator():
     with pytest.raises(ParseError):
         tokenize("1/0")
+
+
+# pieces whose joins tokenize, or meet a zero denominator or a non-ASCII digit
+_PIECES = st.sampled_from(
+    ["0", "7", "12", "/", "3/4", "0/5", "+", "-", "*", "^", "(", ")", "[", "]", ",",
+     "x", "_a1", "g", "g0", "g01", "g12", "sqrt", " ", "\t", "\u00a0", "\u2003", "\u0663"]
+)
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(_PIECES, max_size=12).map("".join))
+def test_tokens_read_their_numbers_as_exactnum_does(text):
+    try:
+        tokens = tokenize(text)
+    except ParseError as exc:
+        assert str(exc).startswith(("zero denominator", "unexpected character"))
+        return
+    for tok in tokens:
+        assert text[tok.pos : tok.pos + len(tok.text)] == tok.text
+        if tok.kind == "RAT":
+            assert tok.value == parse_rational(tok.text)
+        if tok.kind == "GEN":
+            assert tok.value == int(tok.text[1:])
+    assert "".join([tok.text for tok in tokens]) == "".join(text.split())
 
 
 def test_tokenize_names():

@@ -331,7 +331,7 @@ def test_validate_bad_length():
     with pytest.raises(InvalidTower) as info:
         Tower(((Fraction(2),), (Fraction(3),)))
     assert str(info.value) == (
-        "level 2: InvalidTower: level 2: expected 2 square coordinates, got 1"
+        "level 2: InvalidTower: expected 2 square coordinates, got 1"
     )
 
 
