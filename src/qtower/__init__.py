@@ -2,6 +2,7 @@
 with executable constructibility verdicts for rational cubics."""
 
 from .errors import (
+    CoordinateTooLarge,
     DivisionByZero,
     InvalidTower,
     LevelMismatch,

@@ -8,7 +8,7 @@ domain error, 2 I/O or file-format error.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field, replace
+from collections.abc import Mapping
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_UP, Context
 from fractions import Fraction
 from types import MappingProxyType
@@ -23,6 +23,7 @@ from .poly import (
     rational_roots_cubic,
     rrt_candidates,
 )
+from .record import Record, set_field
 from .tower import Tower, TowerElement, format_coords, load_tower, save_tower, strip_comment
 
 MODES = ("coords", "decimal", "both")
@@ -54,27 +55,46 @@ class CommandError(Exception):
     """A failed command, fully rendered; the session is unchanged."""
 
 
-@dataclass(frozen=True)
-class Session:
-    tower: Tower = field(default_factory=Tower)
-    bindings: MappingProxyType = field(default_factory=dict)  # read-only once checked
-    precision: int = 113
-    mode: str = "both"
+class Session(Record):
+    """What a command sees: the tower, the name bindings (a read-only
+    mapping), the precision in bits and the output mode. Sessions are
+    immutable; a command returns a new one."""
 
-    def __post_init__(self):
+    __slots__ = __match_args__ = ("tower", "bindings", "precision", "mode")
+
+    def __init__(
+        self,
+        tower: Tower = Tower(),
+        bindings: Mapping[str, TowerElement] = MappingProxyType({}),
+        precision: int = 113,
+        mode: str = "both",
+    ):
         # the one check of a session, for the command line and library callers alike
-        if not isinstance(self.tower, Tower):
+        if not isinstance(tower, Tower):
             raise ValueError("tower must be a Tower")
-        for name, value in self.bindings.items():
+        for name, value in bindings.items():
             if not isinstance(value, TowerElement):
                 raise ValueError(f"binding {name!r} must be a TowerElement")
-        object.__setattr__(self, "bindings", MappingProxyType(dict(self.bindings)))
-        if type(self.precision) is not int or self.precision < 1:
+        if type(precision) is not int or precision < 1:
             raise ValueError("precision must be a positive number of bits")
-        if self.precision > MAX_PRECISION:
+        if precision > MAX_PRECISION:
             raise ValueError(f"precision exceeds {MAX_PRECISION} bits")
-        if self.mode not in MODES:
+        if mode not in MODES:
             raise ValueError(f"mode must be one of {', '.join(MODES)}")
+        set_field(self, "tower", tower)
+        set_field(self, "bindings", MappingProxyType(dict(bindings)))
+        set_field(self, "precision", precision)
+        set_field(self, "mode", mode)
+
+    def replace(self, **changes) -> Session:
+        """This session with the given fields changed, checked as a new one is."""
+        return Session(**dict(zip(self.__match_args__, self._values()), **changes))
+
+    def __hash__(self):
+        return hash((self.tower, frozenset(self.bindings.items()), self.precision, self.mode))
+
+    def __reduce__(self):
+        return Session, (self.tower, dict(self.bindings), self.precision, self.mode)
 
 
 def positive_bits(text: str) -> int:
@@ -140,7 +160,7 @@ def _dispatch(session: Session, line: str) -> tuple[Session, str]:
         tower = session.tower.adjoin_sqrt(square)
         k = tower.depth
         return (
-            replace(session, tower=tower),
+            session.replace(tower=tower),
             f"adjoined g{k}: g{k}^2 = {format_coords(square.coords)}; depth {k}",
         )
 
@@ -154,7 +174,7 @@ def _dispatch(session: Session, line: str) -> tuple[Session, str]:
             raise CommandError(f"usage: {usage}")
         coeffs = tuple(_eval(session, e) for e in entries)
         tower, root = session.tower.adjoin_quadratic_root(coeffs, branch)
-        new = replace(session, tower=tower, bindings={**session.bindings, "last": root})
+        new = session.replace(tower=tower, bindings={**session.bindings, "last": root})
         k = tower.depth
         return new, f"adjoined g{k}; root bound to 'last': {format_element(root, new)}"
 
@@ -225,7 +245,7 @@ def _dispatch(session: Session, line: str) -> tuple[Session, str]:
         if not rest:
             raise CommandError("usage: load <path>")
         tower = load_tower(rest)
-        return replace(session, tower=tower, bindings={}), f"loaded {rest}: depth {tower.depth}"
+        return session.replace(tower=tower, bindings={}), f"loaded {rest}: depth {tower.depth}"
 
     if word == "set":
         key, _, value = rest.partition(" ")
@@ -233,9 +253,9 @@ def _dispatch(session: Session, line: str) -> tuple[Session, str]:
         try:
             if key == "precision":
                 bits = positive_bits(value)
-                return replace(session, precision=bits), f"precision = {bits}"
+                return session.replace(precision=bits), f"precision = {bits}"
             if key == "mode":
-                return replace(session, mode=value), f"mode = {value}"
+                return session.replace(mode=value), f"mode = {value}"
         except ValueError as exc:  # Session's own message, without its class name
             raise CommandError(str(exc)) from None
         raise CommandError("usage: set precision <bits> | set mode <coords|decimal|both>")
@@ -251,7 +271,7 @@ def _dispatch(session: Session, line: str) -> tuple[Session, str]:
         if kinds[0] != "NAME":
             raise CommandError(f"{name!r} is reserved")
         value = _eval(session, expr)
-        new = replace(session, bindings={**session.bindings, name: value})
+        new = session.replace(bindings={**session.bindings, name: value})
         return new, f"{name} = {format_element(value, new)}"
 
     raise CommandError(f"unknown command {word!r}; try 'help'")
@@ -313,7 +333,7 @@ def _initial_session(tower_path, precision, mode):
         return None, 2
     if tower_path is not None:
         try:
-            session = replace(session, tower=load_tower(tower_path))
+            session = session.replace(tower=load_tower(tower_path))
         except (OSError, QTowerError) as exc:
             print(f"cannot load tower: {exc}", file=sys.stderr)
             return None, 2

@@ -38,6 +38,11 @@ class NotAProperExtension(QTowerError):
         self.witness = witness
 
 
+class CoordinateTooLarge(QTowerError):
+    """A result whose coordinates would pass `tower.MAX_COORDINATE_BITS`,
+    refused before it is computed."""
+
+
 class InvalidTower(QTowerError):
     """A level with the wrong number of coordinates, refused by `Tower(levels)`."""
 

@@ -3,7 +3,8 @@
 Rationals are `fractions.Fraction` values: arbitrary precision, always in
 lowest terms with a positive denominator, zero canonically 0/1. Their
 text form is `p` or `p/q` in ASCII digits, with an optional leading minus:
-`rationals_text` writes it, and `parse_rational` reads it. Both name
+`rationals_text` writes it, and `parse_rational` reads it (the tokenizer,
+which has matched the literal, reads it by `rational_of_digits`). Both name
 Python's int-string limit in the same words when a number passes it.
 """
 
@@ -176,11 +177,21 @@ def parse_rational(text: str) -> Fraction:
     m = _RATIONAL_RE.match(text.strip())
     if m is None:
         raise ValueError(f"not a rational: {text!r}")
-    num = ascii_int(m.group(1))
-    den = ascii_int(m.group(2)) if m.group(2) is not None else 1
-    if den == 0:
+    return rational_of_digits(*m.groups(), text)
+
+
+def rational_of_digits(num: str, den: str | None, text: str) -> Fraction:
+    """num/den from the digits of an already matched literal `text`: num
+    `-?[0-9]+`, den `[0-9]+`, or None for an integer, which takes no gcd.
+    A zero den, or a number past the digit limit, is a ValueError as in
+    `parse_rational`."""
+    n = ascii_int(num)
+    if den is None:
+        return Fraction(n)
+    d = ascii_int(den)
+    if d == 0:
         raise ValueError(f"zero denominator: {text!r}")
-    return Fraction(num, den)
+    return Fraction(n, d)
 
 
 def parse_integer(text: str) -> int:

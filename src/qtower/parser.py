@@ -22,12 +22,12 @@ constant term first.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotASquareInTower, ParseError
-from .exactnum import ascii_int, parse_rational
+from .exactnum import ascii_int, rational_of_digits
 from .poly import Polynomial
+from .record import Record, set_field
 from .tower import Tower, TowerElement
 
 MAX_EXPONENT = 64
@@ -46,57 +46,73 @@ _TOKEN_CHARS = {
     ",": "COMMA",
 }
 
-_WORD_RE = re.compile(r"([0-9]+(?:/[0-9]+)?)|[A-Za-z_][A-Za-z0-9_]*")  # a rational, or a word
+_WORD_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?|[A-Za-z_][A-Za-z0-9_]*")  # a rational, or a word
 _GEN_RE = re.compile(r"g([0-9]+)$")
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    pos: int
-    value: object = None
+class Token(Record):
+    __slots__ = __match_args__ = ("kind", "text", "pos", "value")
+
+    def __init__(self, kind: str, text: str, pos: int, value: object = None):
+        set_field(self, "kind", kind)
+        set_field(self, "text", text)
+        set_field(self, "pos", pos)
+        set_field(self, "value", value)
 
 
 # -- expression nodes ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RationalLiteral:
-    value: Fraction
+class RationalLiteral(Record):
+    __slots__ = __match_args__ = ("value",)
+
+    def __init__(self, value: Fraction):
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True)
-class GeneratorRef:
-    index: int
+class GeneratorRef(Record):
+    __slots__ = __match_args__ = ("index",)
+
+    def __init__(self, index: int):
+        set_field(self, "index", index)
 
 
-@dataclass(frozen=True)
-class Sqrt:
-    child: object
+class Sqrt(Record):
+    __slots__ = __match_args__ = ("child",)
+
+    def __init__(self, child: object):
+        set_field(self, "child", child)
 
 
-@dataclass(frozen=True)
-class Neg:
-    child: object
+class Neg(Record):
+    __slots__ = __match_args__ = ("child",)
+
+    def __init__(self, child: object):
+        set_field(self, "child", child)
 
 
-@dataclass(frozen=True)
-class Pow:
-    child: object
-    exponent: int
+class Pow(Record):
+    __slots__ = __match_args__ = ("child", "exponent")
+
+    def __init__(self, child: object, exponent: int):
+        set_field(self, "child", child)
+        set_field(self, "exponent", exponent)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: object
-    right: object
+class BinOp(Record):
+    __slots__ = __match_args__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: object, right: object):
+        set_field(self, "op", op)
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Name:
-    name: str
+class Name(Record):
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        set_field(self, "name", name)
 
 
 def tokenize(text: str) -> list[Token]:
@@ -116,9 +132,10 @@ def tokenize(text: str) -> list[Token]:
         if m is None:
             raise ParseError(f"unexpected character {c!r}", i)
         word = m.group()
+        num, den = m.groups()
         try:
-            if m.group(1):
-                tokens.append(Token("RAT", word, i, parse_rational(word)))
+            if num:
+                tokens.append(Token("RAT", word, i, rational_of_digits(num, den, word)))
             elif word == "sqrt":
                 tokens.append(Token("SQRT", word, i))
             elif gen := _GEN_RE.match(word):

@@ -21,27 +21,26 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .exactnum import as_rational, divisors
+from .record import Record, set_field
 from .tower import Tower, TowerElement
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Record):
     """Rational coefficients, each an int or a Fraction; coefficient i
     multiplies x^i. Stored length may include leading zeros; `degree`
     ignores them."""
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = __match_args__ = ("coeffs",)
 
-    def __post_init__(self):
-        coeffs = tuple([as_rational(c) for c in self.coeffs])
+    def __init__(self, coeffs: tuple[Fraction, ...]):
+        coeffs = tuple([as_rational(c) for c in coeffs])
         if not coeffs:
             raise ValueError("empty polynomial")
-        object.__setattr__(self, "coeffs", coeffs)
+        set_field(self, "coeffs", coeffs)
 
     @property
     def degree(self) -> int:
@@ -53,16 +52,18 @@ class Outcome(Enum):
     NO_ROOT_IN_ANY_TOWER = "no root in any quadratic extension tower"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Result of a constructibility query on a rational cubic.
 
     When no candidate rational root evaluates to zero, `root` is None and
     no root of the cubic lies in any tower of real quadratic extensions;
     the checked candidates are retained as the evidence."""
 
-    root: Fraction | None
-    candidates_checked: tuple[Fraction, ...]
+    __slots__ = __match_args__ = ("root", "candidates_checked")
+
+    def __init__(self, root: Fraction | None, candidates_checked: tuple[Fraction, ...]):
+        set_field(self, "root", root)
+        set_field(self, "candidates_checked", candidates_checked)
 
     @property
     def outcome(self) -> Outcome:

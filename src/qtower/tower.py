@@ -47,10 +47,10 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    CoordinateTooLarge,
     DivisionByZero,
     InvalidTower,
     LevelMismatch,
@@ -59,8 +59,17 @@ from .errors import (
     TowerFormatError,
 )
 from .exactnum import as_rational, parse_integer, parse_rational, rationals_text
+from .record import Record, set_field
 
 _ZERO = Fraction(0)
+
+# The most bits `power` lets a coordinate of its result have: about 315,000
+# decimal digits, 73 times the 4,300 that Python prints, so signs and decimals
+# of such powers still come out. The costliest step of a power, its last
+# squaring, multiplies coordinates of 2^19 bits: about 25 ms per product on one
+# Xeon core with Python 3.11, and each doubling of the size triples that
+# (Karatsuba). A level-k product takes up to 4^k such coordinate products.
+MAX_COORDINATE_BITS = 1 << 20
 
 # Coordinate tuples are built from lists, never from generators: CPython sizes
 # tuple(<generator>) by resizing, so its freed small tuples pile up (up to 2000
@@ -212,24 +221,23 @@ def _sqrt(a, k, squares):
     return None
 
 
-@dataclass(frozen=True)
-class TowerElement:
+class TowerElement(Record):
     """An element of tower level `level`: 2^level rational coordinates,
     each an int or a Fraction."""
 
-    level: int
-    coords: tuple[Fraction, ...]
+    __slots__ = __match_args__ = ("level", "coords")
 
-    def __post_init__(self):
-        if self.level < 0:
-            raise ValueError(f"negative level {self.level}")
-        coords = tuple([c if type(c) is Fraction else as_rational(c) for c in self.coords])
-        if len(coords) != 1 << self.level:
+    def __init__(self, level: int, coords: tuple[Fraction, ...]):
+        if level < 0:
+            raise ValueError(f"negative level {level}")
+        coords = tuple([c if type(c) is Fraction else as_rational(c) for c in coords])
+        if len(coords) != 1 << level:
             raise ValueError(
-                f"level {self.level} needs {1 << self.level} coordinates, "
+                f"level {level} needs {1 << level} coordinates, "
                 f"got {len(coords)}"
             )
-        object.__setattr__(self, "coords", coords)
+        set_field(self, "level", level)
+        set_field(self, "coords", coords)
 
     @property
     def is_zero(self) -> bool:
@@ -305,8 +313,7 @@ def _brief(x: TowerElement) -> str:
     return rationals_text(x.coords[:1]) if x.is_rational else format_coords(x.coords)
 
 
-@dataclass(frozen=True)
-class Tower:
+class Tower(Record):
     """An ordered chain of quadratic extension levels over Q.
 
     `levels[i-1]` holds the coordinates, in the level-(i-1) basis, of the
@@ -323,12 +330,12 @@ class Tower:
     when s_i is rational and an integer vector otherwise.
     """
 
-    levels: tuple[tuple[Fraction, ...], ...] = ()
+    __match_args__ = ("levels",)  # the one field; the rest of the instance dict derives from it
 
-    def __post_init__(self):
+    def __init__(self, levels: tuple[tuple[Fraction, ...], ...] = ()):
         # start as Q, adjoin every level in turn, then adopt the last
         # prefix's levels and rescaled basis
-        levels, prefix = self.levels, self
+        prefix = self
         vars(self).update(levels=(), _scales=(1,), _squares=(), _enclosure=_UNIT)
         for i, sq in enumerate(map(tuple, levels), start=1):
             try:
@@ -514,13 +521,23 @@ class Tower:
         return self._leave(x.level, _mul(a, w, x.level, self._squares), da * m)
 
     def power(self, x: TowerElement, n: int) -> TowerElement:
-        """x^n by square-and-multiply; negative n inverts first."""
+        """x^n by square-and-multiply; negative n inverts first.
+
+        x^n has about n times the bits of x's integer coordinates and of
+        their denominator, so a power past MAX_COORDINATE_BITS is refused
+        with CoordinateTooLarge before any product is taken."""
         if n == 0:
             return self.one(x.level)
         a, d = self._enter(x)
         if n < 0:
             a, d = self._inverse(a, d, x.level)
             n = -n
+        bits = n * max(d, *map(abs, a)).bit_length()
+        if bits > MAX_COORDINATE_BITS:
+            raise CoordinateTooLarge(
+                f"a power with coordinates of about {bits} bits passes the "
+                f"{MAX_COORDINATE_BITS}-bit limit"
+            )
         acc = a
         for bit in bin(n)[3:]:
             acc = _mul(acc, acc, x.level, self._squares)

@@ -14,6 +14,7 @@ from qtower.exactnum import (
     divisors,
     parse_integer,
     parse_rational,
+    rational_of_digits,
     rationals_text,
 )
 
@@ -130,6 +131,26 @@ def test_format_rational():
     # round trip
     for text in ("0", "-7", "3/8", "-16/23"):
         assert rationals_text([parse_rational(text)]) == text
+
+
+def test_rational_of_digits_reads_what_parse_rational_reads():
+    # the tokenizer's reader: the digits of a matched literal, no second match
+    for text in ("0", "5", "-7", "007", "4/6", "-16/23", "007/0010"):
+        num, _, den = text.partition("/")
+        value = rational_of_digits(num, den or None, text)
+        assert type(value) is Fraction
+        assert value == parse_rational(text)
+    assert rational_of_digits("12", None, "12").denominator == 1
+    for text in ("1/0", "-5/000"):
+        num, _, den = text.partition("/")
+        with pytest.raises(ValueError) as digits:
+            rational_of_digits(num, den, text)
+        with pytest.raises(ValueError) as parsed:
+            parse_rational(text)
+        assert str(digits.value) == str(parsed.value) == f"zero denominator: {text!r}"
+    for num, den in (("7" * 5000, None), ("7" * 5000, "0"), ("1", "7" * 5000)):
+        with pytest.raises(ValueError, match="^number exceeds the 4300-digit limit$"):
+            rational_of_digits(num, den, "")
 
 
 def test_readers_and_writer_name_the_digit_limit_alike():

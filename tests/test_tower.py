@@ -8,6 +8,7 @@ import pytest
 
 from helpers import random_element, random_rational, random_tower, ref_mul, ref_sign
 from qtower.errors import (
+    CoordinateTooLarge,
     DivisionByZero,
     InvalidTower,
     LevelMismatch,
@@ -17,6 +18,7 @@ from qtower.errors import (
 )
 from qtower.parser import MAX_EXPONENT
 from qtower.tower import (
+    MAX_COORDINATE_BITS,
     Tower,
     TowerElement,
     dumps_tower,
@@ -459,6 +461,26 @@ def test_power():
     assert Q_SQRT2.power(g, -2) == elt(1, Fraction(1, 2), 0)
     with pytest.raises(DivisionByZero):
         Q_SQRT2.power(elt(1, 0, 0), -1)
+
+
+def test_power_refuses_coordinates_past_the_cap():
+    # 2^64, 1/2^64 and their inverses have 65-bit integer coordinates or
+    # denominators, so their n-th power has about 65*n bits
+    n = MAX_COORDINATE_BITS // 65
+    two64 = Q.embed(2**64)
+    assert Q.power(two64, n) == Q.embed(2 ** (64 * n))
+    assert Q.power(two64, -n) == Q.embed(Fraction(1, 2 ** (64 * n)))
+    message = (
+        f"^a power with coordinates of about {65 * (n + 1)} bits "
+        f"passes the {MAX_COORDINATE_BITS}-bit limit$"
+    )
+    for x, e in ((two64, n + 1), (two64, -n - 1), (Q.inv(two64), n + 1), (Q.inv(two64), -n - 1)):
+        with pytest.raises(CoordinateTooLarge, match=message):
+            Q.power(x, e)
+    # at every level, before any product is taken
+    x = Q_SQRT2.lift_to(two64, 1) + Q_SQRT2.generator(1)
+    with pytest.raises(CoordinateTooLarge):
+        Q_SQRT2.power(x, n + 1)
 
 
 def test_exact_sign_examples():
