@@ -12,6 +12,7 @@ from .errors import (
     ParseError,
     QTowerError,
     TowerFormatError,
+    TowerTooDeep,
 )
 from .exactnum import divisors, parse_rational
 from .parser import eval_expr, parse_expr, parse_poly, tokenize

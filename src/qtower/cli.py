@@ -23,7 +23,7 @@ from .poly import (
     rational_roots_cubic,
     rrt_candidates,
 )
-from .record import Record, set_field
+from .record import Record
 from .tower import Tower, TowerElement, format_coords, load_tower, save_tower, strip_comment
 
 MODES = ("coords", "decimal", "both")
@@ -81,10 +81,7 @@ class Session(Record):
             raise ValueError(f"precision exceeds {MAX_PRECISION} bits")
         if mode not in MODES:
             raise ValueError(f"mode must be one of {', '.join(MODES)}")
-        set_field(self, "tower", tower)
-        set_field(self, "bindings", MappingProxyType(dict(bindings)))
-        set_field(self, "precision", precision)
-        set_field(self, "mode", mode)
+        super().__init__(tower, MappingProxyType(dict(bindings)), precision, mode)
 
     def replace(self, **changes) -> Session:
         """This session with the given fields changed, checked as a new one is."""

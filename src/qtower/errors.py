@@ -43,6 +43,10 @@ class CoordinateTooLarge(QTowerError):
     refused before it is computed."""
 
 
+class TowerTooDeep(QTowerError):
+    """A level past `tower.MAX_LEVELS`, refused by `adjoin_sqrt` before any work."""
+
+
 class InvalidTower(QTowerError):
     """A level with the wrong number of coordinates, refused by `Tower(levels)`."""
 

@@ -60,59 +60,35 @@ class Token(Record):
         set_field(self, "value", value)
 
 
-# -- expression nodes ---------------------------------------------------------
+# -- expression nodes: built by position, one value per field ------------------
 
 
 class RationalLiteral(Record):
     __slots__ = __match_args__ = ("value",)
 
-    def __init__(self, value: Fraction):
-        set_field(self, "value", value)
-
 
 class GeneratorRef(Record):
     __slots__ = __match_args__ = ("index",)
-
-    def __init__(self, index: int):
-        set_field(self, "index", index)
 
 
 class Sqrt(Record):
     __slots__ = __match_args__ = ("child",)
 
-    def __init__(self, child: object):
-        set_field(self, "child", child)
-
 
 class Neg(Record):
     __slots__ = __match_args__ = ("child",)
-
-    def __init__(self, child: object):
-        set_field(self, "child", child)
 
 
 class Pow(Record):
     __slots__ = __match_args__ = ("child", "exponent")
 
-    def __init__(self, child: object, exponent: int):
-        set_field(self, "child", child)
-        set_field(self, "exponent", exponent)
-
 
 class BinOp(Record):
     __slots__ = __match_args__ = ("op", "left", "right")
 
-    def __init__(self, op: str, left: object, right: object):
-        set_field(self, "op", op)
-        set_field(self, "left", left)
-        set_field(self, "right", right)
-
 
 class Name(Record):
     __slots__ = __match_args__ = ("name",)
-
-    def __init__(self, name: str):
-        set_field(self, "name", name)
 
 
 def tokenize(text: str) -> list[Token]:

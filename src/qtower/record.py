@@ -1,13 +1,15 @@
 """`Record`: the value semantics shared by qtower's immutable classes.
 
-A record's fields are the names in its class's `__match_args__`. Its
-`__init__` checks its arguments and then sets each field once with
-`set_field`, since assignment is refused. Records are equal when they are
-of the same class with equal fields, hash by their fields, print as
-`Name(field=value, ...)`, and pickle and copy through their constructor,
-so a copy passes the same checks as the original did. This is what
-`@dataclass(frozen=True)` gave them, without importing `dataclasses`
-(which loads `inspect`) and without building each class by `exec`.
+A record's fields are the names in its class's `__match_args__`, each set
+once with `set_field`; `Record(*values)` takes one value per field, in that
+order. The expression nodes and `Session` (after its checks) use it; `Token`
+and `Verdict` (keyword forms), `Polynomial` (it normalizes), `Tower` (it
+proves its levels) and `TowerElement` (every kernel operation builds one)
+set their own fields. Records are equal when of one class with equal fields,
+hash by their fields, print as `Name(field=value, ...)`, and pickle and copy
+through their constructor, so a copy passes the checks the original did.
+`@dataclass(frozen=True)` does the same, but loads `inspect` and builds
+each class by `exec`.
 """
 
 from __future__ import annotations
@@ -18,6 +20,13 @@ set_field = object.__setattr__  # a field's one assignment, in its record's __in
 class Record:
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        names = self.__match_args__
+        if len(values) != len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} values, got {len(values)}")
+        for name, value in zip(names, values):
+            set_field(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])

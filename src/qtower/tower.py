@@ -57,6 +57,7 @@ from .errors import (
     NonRealExtension,
     NotAProperExtension,
     TowerFormatError,
+    TowerTooDeep,
 )
 from .exactnum import as_rational, parse_integer, parse_rational, rationals_text
 from .record import Record, set_field
@@ -70,6 +71,14 @@ _ZERO = Fraction(0)
 # Xeon core with Python 3.11, and each doubling of the size triples that
 # (Karatsuba). A level-k product takes up to 4^k such coordinate products.
 MAX_COORDINATE_BITS = 1 << 20
+
+# The most levels a tower has. Each level doubles the time and memory of every
+# command: on towers of the first n prime square roots (Xeon, Python 3.11),
+# `adjoin`, `sign` and `is-square` take about 30 ms at depth 14 (20 MB resident),
+# 120 ms at depth 16 (36 MB) and 2-3 s at depth 20 (308 MB): about 10 GB at depth
+# 25. A 65537-gon needs depth 15, 32,768 coordinates per element, and is refused
+# by name rather than by running out of memory.
+MAX_LEVELS = 14
 
 # Coordinate tuples are built from lists, never from generators: CPython sizes
 # tuple(<generator>) by resizing, so its freed small tuples pile up (up to 2000
@@ -322,8 +331,9 @@ class Tower(Record):
     Construction validates every level in order, so no invalid tower
     exists: square i needs 2^(i-1) coordinates (InvalidTower), must be
     positive (NonRealExtension) and must not be a square in level i-1
-    (NotAProperExtension, carrying the witness): `adjoin_sqrt`'s error, its
-    message prefixed by the first failing level, `level i: <ErrorClass>: `.
+    (NotAProperExtension, carrying the witness), and i is at most
+    MAX_LEVELS (TowerTooDeep): `adjoin_sqrt`'s error, its message prefixed
+    by the first failing level, `level i: <ErrorClass>: `.
 
     Each tower holds its rescaled basis: `_scales[j]`, the product of the
     D_i over the set bits of j, and `_squares[i-1]` = D_i^2*s_i, an int
@@ -344,7 +354,7 @@ class Tower(Record):
                         f"expected {1 << (i - 1)} square coordinates, got {len(sq)}"
                     )
                 prefix = prefix.adjoin_sqrt(TowerElement(i - 1, sq))
-            except (InvalidTower, NonRealExtension, NotAProperExtension) as exc:
+            except (InvalidTower, NonRealExtension, NotAProperExtension, TowerTooDeep) as exc:
                 exc.args = (f"level {i}: {type(exc).__name__}: {exc}",)
                 raise exc from None
         vars(self).update(vars(prefix))
@@ -421,8 +431,11 @@ class Tower(Record):
         s must be positive (NonRealExtension otherwise) and must not be a
         square in the current top field (NotAProperExtension, carrying the
         in-field witness, otherwise). Every new level is proven here:
-        `Tower(levels)` and `adjoin_quadratic_root` extend through it.
+        `Tower(levels)` and `adjoin_quadratic_root` extend through it. A
+        level past MAX_LEVELS is refused first (TowerTooDeep).
         """
+        if self.depth >= MAX_LEVELS:
+            raise TowerTooDeep(f"a tower has at most {MAX_LEVELS} levels")
         s = self._as_top(s)
         if self.exact_sign(s) <= 0:
             raise NonRealExtension(

@@ -572,6 +572,19 @@ def test_run_batch_stops_on_error(tmp_path):
     assert "eval 1" not in text  # stopped at the first error
 
 
+def test_run_batch_refuses_a_fifteenth_adjoin_by_name(tmp_path):
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+    script = tmp_path / "deep.qts"
+    script.write_text("".join(f"adjoin {p}\n" for p in primes) + "eval 1\n")
+    out = io.StringIO()
+    start = time.perf_counter()
+    assert run_batch(script, quiet=True, out=out) == 1
+    assert time.perf_counter() - start < 1
+    lines = out.getvalue().splitlines()
+    assert lines[13].startswith("adjoined g14: g14^2 = [43, 0, ") and lines[13].endswith("depth 14")
+    assert lines[14:] == ["TowerTooDeep: a tower has at most 14 levels"]
+
+
 def test_run_batch_empty_script(tmp_path):
     script = tmp_path / "empty.qt"
     script.write_text("")

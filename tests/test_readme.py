@@ -1,17 +1,20 @@
 """The README's examples and claims hold for the current code: the Library
-block executes, the REPL transcript replays byte for byte, the command
-list agrees with `help` and with the commands the session dispatches, and
-importing qtower loads nothing outside the standard library."""
+block executes and gives the results its comments state, the REPL
+transcript replays byte for byte, the command list agrees with `help` and
+with the commands the session dispatches, and importing qtower loads
+nothing outside the standard library."""
 
 import inspect
 import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from qtower import cli
 from qtower.cli import HELP_TEXT, CommandError, Session, execute
+from qtower.poly import Outcome
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -40,7 +43,34 @@ def repl_transcript():
 
 
 def test_readme_library_block_runs():
-    exec(compile(library_block(), "README.md (Library)", "exec"), {})
+    block = library_block()
+    namespace = {}
+    exec(compile(block, "README.md (Library)", "exec"), namespace)
+    # every expression statement of the block, by its source text
+    results = {}
+    for line in block.splitlines():
+        code = line.partition("#")[0].strip()
+        if code and not code.startswith(("from ", "import ")) and " = " not in code:
+            results[code] = eval(code, namespace)
+    t, g = namespace["t"], namespace["g"]
+    one = t.one()
+    assert results == {
+        "x.coords": (Fraction(-16, 23), Fraction(17, 23)),
+        "t.exact_sign(t.embed(1) - g)": -1,
+        "t.is_square(t.embed(2))": g,
+        "t.sqrt(t.embed(3) - g.scale(2))": g - one,
+        "poly_eval(Polynomial((-2, 0, 1)), g, t).is_zero": True,
+        "t.approx(g, 10)": Fraction(181, 128),
+        "constructible_root_verdict(Polynomial((-2, 0, 0, 1))).outcome": (
+            Outcome.NO_ROOT_IN_ANY_TOWER
+        ),
+    }
+    assert t.is_square(t.embed(3) - g.scale(2)) == one - g
+    # the comments name these results
+    for text in ("# (Fraction(-16, 23), Fraction(17, 23))", "# -1,", "witness g1", "# g1 - 1,",
+                 "is_square gives 1 - g1", "# True", "# Fraction(181, 128)",
+                 "# Outcome.NO_ROOT_IN_ANY_TOWER"):
+        assert text in block, text
 
 
 def test_readme_repl_transcript_replays():

@@ -1,7 +1,8 @@
 """Value semantics of qtower's immutable classes: equal fields make equal
 objects with equal hashes, fields cannot be assigned or deleted, copies
-and pickles are equal to the original, and a session's `replace` runs the
-checks of a new session."""
+and pickles are equal to the original, expression nodes take exactly one
+value per field, by position, and a session, new or from `replace`, is
+checked."""
 
 import copy
 import pickle
@@ -21,6 +22,7 @@ from qtower.parser import (
     Token,
 )
 from qtower.poly import Polynomial, Verdict
+from qtower.record import Record
 from qtower.tower import Tower, TowerElement
 
 
@@ -137,3 +139,51 @@ def test_sessions_hash_their_bindings_in_any_order():
     b = Session(bindings={"b": two, "a": one})
     assert a == b and hash(a) == hash(b)
     assert a != Session(bindings={"a": one})
+
+
+NODES = {
+    RationalLiteral: (Fraction(3, 4),),
+    GeneratorRef: (2,),
+    Sqrt: (Name("x"),),
+    Neg: (Name("x"),),
+    Pow: (GeneratorRef(1), -3),
+    BinOp: ("+", Name("x"), Name("y")),
+    Name: ("x",),
+}
+
+
+@pytest.mark.parametrize("node", NODES, ids=lambda node: node.__name__)
+def test_nodes_take_exactly_one_value_per_field(node):
+    values = NODES[node]
+    assert "__init__" not in vars(node) and node.__init__ is Record.__init__
+    x = node(*values)
+    assert tuple(getattr(x, name) for name in node.__match_args__) == values
+    n = len(values)
+    for wrong in (values[:-1], values + (values[-1],)):  # e.g. Neg(), Pow(x), BinOp("+", x, x, x)
+        message = f"^{node.__name__} takes {n} values, got {len(wrong)}$"
+        with pytest.raises(TypeError, match=message):
+            node(*wrong)
+    with pytest.raises(TypeError):  # no keyword form
+        node(**dict(zip(node.__match_args__, values)))
+
+
+def test_sessions_refuse_bad_fields_with_their_own_texts():
+    cases = [
+        ({"tower": None}, "tower must be a Tower"),
+        ({"tower": ((2,),)}, "tower must be a Tower"),
+        ({"bindings": {"x": 1}}, "binding 'x' must be a TowerElement"),
+        ({"bindings": {"y": Fraction(1)}}, "binding 'y' must be a TowerElement"),
+        ({"precision": 0}, "precision must be a positive number of bits"),
+        ({"precision": True}, "precision must be a positive number of bits"),
+        ({"precision": 2.5}, "precision must be a positive number of bits"),
+        ({"precision": MAX_PRECISION + 1}, f"precision exceeds {MAX_PRECISION} bits"),
+        ({"mode": "bogus"}, "mode must be one of coords, decimal, both"),
+    ]
+    for fields, message in cases:
+        with pytest.raises(ValueError) as info:
+            Session(**fields)
+        assert str(info.value) == message
+    s = Session(Tower([[2]]), {"a": TowerElement(0, (1,))}, 64, "coords")
+    assert (s.tower.depth, list(s.bindings), s.precision, s.mode) == (1, ["a"], 64, "coords")
+    with pytest.raises(TypeError):
+        Session(Tower(), {}, 64, "coords", None)

@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -15,10 +16,12 @@ from qtower.errors import (
     NonRealExtension,
     NotAProperExtension,
     TowerFormatError,
+    TowerTooDeep,
 )
 from qtower.parser import MAX_EXPONENT
 from qtower.tower import (
     MAX_COORDINATE_BITS,
+    MAX_LEVELS,
     Tower,
     TowerElement,
     dumps_tower,
@@ -361,6 +364,30 @@ def test_invalid_tower_cannot_be_built():
         assert type(built.value) is type(loaded.value)
         assert str(built.value) == str(loaded.value)
         assert getattr(built.value, "witness", None) == getattr(loaded.value, "witness", None)
+
+
+def test_a_level_past_the_depth_cap_is_refused_by_name_at_once():
+    # the first 15 prime square roots: the 15th level is refused before any
+    # work, whatever its square, in code and from a tower file alike
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+    levels = [[p] + [0] * ((1 << i) - 1) for i, p in enumerate(primes)]
+    assert MAX_LEVELS == 14
+    deepest = Tower(levels[:MAX_LEVELS])
+    assert deepest.depth == MAX_LEVELS
+    for square in (47, 4, -1):
+        start = time.perf_counter()
+        with pytest.raises(TowerTooDeep, match="^a tower has at most 14 levels$"):
+            deepest.adjoin_sqrt(square)
+        assert time.perf_counter() - start < 0.01
+    text = "QTOWER 1\nlevels 15\n" + "".join(
+        f"square {i}: " + " ".join(map(str, sq)) + "\n" for i, sq in enumerate(levels, start=1)
+    )
+    message = "^level 15: TowerTooDeep: a tower has at most 14 levels$"
+    for build in (lambda: loads_tower(text), lambda: Tower(levels)):
+        start = time.perf_counter()
+        with pytest.raises(TowerTooDeep, match=message):
+            build()
+        assert time.perf_counter() - start < 1
 
 
 # -- embed / lift ----------------------------------------------------------------
