@@ -288,26 +288,20 @@ def execute(session: Session, command: str) -> tuple[Session, str]:
         raise CommandError(f"{type(exc).__name__}: {exc}") from exc
 
 
-def run_batch(
-    script_path,
-    tower_path=None,
-    precision=None,
-    mode=None,
-    quiet=False,
-    out=None,
-) -> int:
+def run_batch(script_path, session: Session | None = None, quiet=False, out=None) -> int:
     """Execute a script of newline-separated commands, echoing each with
     its output (--quiet drops the echo). Stops at the first error."""
+    session = Session() if session is None else session
     out = sys.stdout if out is None else out
     try:
-        with open(script_path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(script_path, "rb") as fh:
+            text = fh.read().decode("utf-8")
     except OSError as exc:
         print(f"cannot read script: {exc}", file=sys.stderr)
         return 2
-    session, status = _initial_session(tower_path, precision, mode)
-    if session is None:
-        return status
+    except UnicodeDecodeError as exc:
+        print(f"cannot read script: not UTF-8: {exc.reason} at byte {exc.start}", file=sys.stderr)
+        return 2
     for line in filter(None, map(strip_comment, text.splitlines())):
         if not quiet:
             print(f"> {line}", file=out)
@@ -319,22 +313,6 @@ def run_batch(
         if output:
             print(output, file=out)
     return 0
-
-
-def _initial_session(tower_path, precision, mode):
-    options = {"precision": precision, "mode": mode}
-    try:
-        session = Session(**{key: value for key, value in options.items() if value is not None})
-    except ValueError as exc:
-        print(f"cannot start session: {exc}", file=sys.stderr)
-        return None, 2
-    if tower_path is not None:
-        try:
-            session = session.replace(tower=load_tower(tower_path))
-        except (OSError, QTowerError) as exc:
-            print(f"cannot load tower: {exc}", file=sys.stderr)
-            return None, 2
-    return session, 0
 
 
 def repl(session: Session | None = None, infile=None, out=None) -> int:
@@ -407,11 +385,16 @@ def main(argv=None) -> int:
 
     if args.command in ("verdict", "rrt"):
         return _one_shot(f"{args.command} {args.poly}")
+    flags = {"precision": args.precision, "mode": args.mode}
+    session = Session(**{key: value for key, value in flags.items() if value is not None})
+    if args.tower is not None:
+        try:
+            session = session.replace(tower=load_tower(args.tower))
+        except (OSError, QTowerError) as exc:
+            print(f"cannot load tower: {exc}", file=sys.stderr)
+            return 2
     if args.command == "run":
-        return run_batch(args.script, args.tower, args.precision, args.mode, args.quiet)
-    session, status = _initial_session(args.tower, args.precision, args.mode)
-    if session is None:
-        return status
+        return run_batch(args.script, session, args.quiet)
     if args.command == "repl":
         return repl(session)
     return _one_shot(f"eval {args.expr}", session)

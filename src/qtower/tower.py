@@ -64,11 +64,11 @@ from .record import Record, set_field
 
 _ZERO = Fraction(0)
 
-# The most bits `power` lets a coordinate of its result have: about 315,000
-# decimal digits, 73 times the 4,300 that Python prints, so signs and decimals
-# of such powers still come out. The costliest step of a power, its last
-# squaring, multiplies coordinates of 2^19 bits: about 25 ms per product on one
-# Xeon core with Python 3.11, and each doubling of the size triples that
+# The most bits `mul`, `div` and `power` let a coordinate of a result have:
+# about 315,000 decimal digits, 73 times the 4,300 that Python prints, so signs
+# and decimals of such results still come out. A power's costliest step, its
+# last squaring, multiplies coordinates of 2^19 bits: about 25 ms per product on
+# one Xeon core with Python 3.11, and each doubling of the size triples that
 # (Karatsuba). A level-k product takes up to 4^k such coordinate products.
 MAX_COORDINATE_BITS = 1 << 20
 
@@ -228,6 +228,21 @@ def _sqrt(a, k, squares):
         t = [x * (2 * er * eu) * er * eu for x in _mul(ext, v, k, squares)]
         return _reduced([x * m for x in u] + t, 2 * er * eu * m)
     return None
+
+
+def _bits(v, d: int) -> int:
+    """The bits of the largest integer of the vector v over denominator d."""
+    return max(d, *map(abs, v)).bit_length()
+
+
+def _refuse_past_limit(result: str, bits: int) -> None:
+    """A product of factors of b1, b2, ... bits has about b1 + b2 + ... bits;
+    refuse it with CoordinateTooLarge before it is taken."""
+    if bits > MAX_COORDINATE_BITS:
+        raise CoordinateTooLarge(
+            f"{result} with coordinates of about {bits} bits passes the "
+            f"{MAX_COORDINATE_BITS}-bit limit"
+        )
 
 
 class TowerElement(Record):
@@ -514,6 +529,7 @@ class Tower(Record):
         a, da = self._enter(x)
         x._check_level(y)
         b, db = self._enter(y)
+        _refuse_past_limit("a product", _bits(a, da) + _bits(b, db))
         return self._leave(x.level, _mul(a, b, x.level, self._squares), da * db)
 
     def inv(self, x: TowerElement) -> TowerElement:
@@ -531,6 +547,7 @@ class Tower(Record):
         w, m = self._inverse(*self._enter(y), y.level)
         a, da = self._enter(x)
         x._check_level(y)
+        _refuse_past_limit("a quotient", _bits(a, da) + _bits(w, m))
         return self._leave(x.level, _mul(a, w, x.level, self._squares), da * m)
 
     def power(self, x: TowerElement, n: int) -> TowerElement:
@@ -545,12 +562,7 @@ class Tower(Record):
         if n < 0:
             a, d = self._inverse(a, d, x.level)
             n = -n
-        bits = n * max(d, *map(abs, a)).bit_length()
-        if bits > MAX_COORDINATE_BITS:
-            raise CoordinateTooLarge(
-                f"a power with coordinates of about {bits} bits passes the "
-                f"{MAX_COORDINATE_BITS}-bit limit"
-            )
+        _refuse_past_limit("a power", n * _bits(a, d))
         acc = a
         for bit in bin(n)[3:]:
             acc = _mul(acc, acc, x.level, self._squares)
@@ -748,5 +760,10 @@ def save_tower(tower: Tower, path) -> None:
 
 
 def load_tower(path) -> Tower:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_tower(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise TowerFormatError(f"not UTF-8: {exc.reason} at byte {exc.start}") from None
+    return loads_tower(text)

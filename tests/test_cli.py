@@ -313,6 +313,21 @@ def test_huge_powers_are_refused_by_name_in_bounded_time():
     assert time.perf_counter() - start < 1
 
 
+def test_huge_products_are_refused_by_name_in_bounded_time():
+    # a has 262,145 bits, so a*a*a*a would have about 2^20 + 2; unrefused, each
+    # further step of four factors took about nine times as long as the last
+    s, _ = execute(Session(mode="decimal"), "let a = ((2^64)^64)^64")
+    start = time.perf_counter()
+    for command, result in (("let b = a*a*a*a", "a product"), ("eval a/(1/(a*a*a))", "a quotient")):
+        with pytest.raises(CommandError) as info:
+            execute(s, command)
+        assert str(info.value) == (
+            f"CoordinateTooLarge: {result} with coordinates of about 1048578 bits "
+            f"passes the {MAX_COORDINATE_BITS}-bit limit"
+        )
+    assert time.perf_counter() - start < 1
+
+
 def test_execute_let_and_bindings():
     s = session_with_sqrt2()
     s, out = execute(s, "let a = 1 + g1")
@@ -607,46 +622,82 @@ def test_run_batch_missing_script(tmp_path):
     assert run_batch(tmp_path / "absent.qt", out=io.StringIO()) == 2
 
 
-def test_run_batch_bad_tower_preload(tmp_path):
+def test_run_batch_bad_tower_preload(tmp_path, capsys):
     script = tmp_path / "script.qt"
     script.write_text("eval 1\n")
     bad = tmp_path / "bad.qt"
     bad.write_text("QTOWER 1\nlevels 1\nsquare 1: 4\n")
-    assert run_batch(script, tower_path=bad, out=io.StringIO()) == 2
-    assert run_batch(script, tower_path=tmp_path / "nope.qt", out=io.StringIO()) == 2
+    missing = tmp_path / "nope.qt"
+    cases = [
+        (bad, script, "level 1: NotAProperExtension: 4 is a square (witness 2)"),
+        (missing, script, f"[Errno 2] No such file or directory: '{missing}'"),
+        # with the script missing too, the tower is reported
+        (missing, tmp_path / "nope.qts", f"[Errno 2] No such file or directory: '{missing}'"),
+    ]
+    for tower, script_path, reason in cases:
+        assert main(["run", "--tower", str(tower), str(script_path)]) == 2
+        assert capsys.readouterr() == ("", f"cannot load tower: {reason}\n")
+
+
+def test_run_batch_uses_the_given_session(tmp_path):
+    script = tmp_path / "script.qt"
+    script.write_text("eval g1\n")
+    out = io.StringIO()
+    assert run_batch(script, Session(Tower([[2]]), mode="coords"), quiet=True, out=out) == 0
+    assert out.getvalue() == "[0, 1]\n"
+
+
+# byte 29 of b"QTOWER 1\nlevels 1\nsquare 1: 2\xff\n" is the 0xff
+NOT_UTF8_TOWER = "not UTF-8: invalid start byte at byte 29"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["run", "bad.qts"], "cannot read script: not UTF-8: invalid start byte at byte 6\n"),
+        (["run", "--tower", "bad.qt", "ok.qts"], f"cannot load tower: {NOT_UTF8_TOWER}\n"),
+        (["eval", "--tower", "bad.qt", "1"], f"cannot load tower: {NOT_UTF8_TOWER}\n"),
+        (["repl", "--tower", "bad.qt"], f"cannot load tower: {NOT_UTF8_TOWER}\n"),
+    ],
+    ids=["run-script", "run-tower", "eval-tower", "repl-tower"],
+)
+def test_files_that_are_not_utf8_are_format_errors(tmp_path, monkeypatch, capsys, argv, err):
+    (tmp_path / "bad.qt").write_bytes(b"QTOWER 1\nlevels 1\nsquare 1: 2\xff\n")
+    (tmp_path / "bad.qts").write_bytes(b"eval 1\xff\n")
+    (tmp_path / "ok.qts").write_text("eval 1\n")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
+
+
+def test_load_of_a_tower_that_is_not_utf8_names_the_format_error(tmp_path):
+    bad = tmp_path / "bad.qt"
+    bad.write_bytes(b"QTOWER 1\nlevels 1\nsquare 1: 2\xff\n")
+    with pytest.raises(CommandError) as info:
+        execute(session_with_sqrt2(), f"load {bad}")
+    assert str(info.value) == f"TowerFormatError: {NOT_UTF8_TOWER}"
 
 
 @pytest.mark.parametrize("precision", [0, -3, 2.5, "113", True])
-def test_library_sessions_refuse_non_positive_precision(tmp_path, capsys, precision):
+def test_library_sessions_refuse_non_positive_precision(precision):
     with pytest.raises(ValueError, match="^precision must be a positive number of bits$"):
         Session(precision=precision)
     with pytest.raises(ValueError, match="^precision must be a positive number of bits$"):
         Session().replace(precision=precision)
-    script = tmp_path / "script.qt"
-    script.write_text("eval 1/3\n")
-    out = io.StringIO()
-    assert run_batch(script, precision=precision, out=out) == 2
-    assert out.getvalue() == ""
-    assert capsys.readouterr().err == (
-        "cannot start session: precision must be a positive number of bits\n"
-    )
 
 
-def test_library_sessions_refuse_unknown_mode(tmp_path, capsys):
+def test_library_sessions_refuse_unknown_mode():
     message = "mode must be one of coords, decimal, both"
     with pytest.raises(ValueError, match=f"^{message}$"):
         Session(mode="bogus")
     with pytest.raises(ValueError, match=f"^{message}$"):
         Session().replace(mode="bogus")
-    script = tmp_path / "script.qt"
-    script.write_text("eval 1/3\n")
-    out = io.StringIO()
-    assert run_batch(script, mode="bogus", out=out) == 2
-    assert out.getvalue() == ""
-    assert capsys.readouterr().err == f"cannot start session: {message}\n"
 
 
-def test_precision_is_capped(tmp_path, capsys):
+def test_precision_is_capped(capsys):
     message = f"precision exceeds {MAX_PRECISION} bits"
     with pytest.raises(ValueError, match=f"^{message}$"):
         Session(precision=10**6)
@@ -656,10 +707,6 @@ def test_precision_is_capped(tmp_path, capsys):
     assert s.precision == 113
     with pytest.raises(CommandError, match=f"^{message}$"):
         execute(Session(), "set precision 1000000")
-    script = tmp_path / "script.qt"
-    script.write_text("eval 1/3\n")
-    assert run_batch(script, precision=10**6, out=io.StringIO()) == 2
-    assert capsys.readouterr().err == f"cannot start session: {message}\n"
     with pytest.raises(SystemExit) as info:
         main(["eval", "--precision", "1000000", "1/3"])
     assert info.value.code == 2
@@ -672,15 +719,18 @@ def test_precision_is_capped(tmp_path, capsys):
     assert execute(s, "eval 1/g1")[1] == "[0, 1/2] ≈ 0.707106781186548"
 
 
-def test_run_batch_with_tower_and_flags(tmp_path):
+def test_run_batch_with_tower_and_flags(tmp_path, capsys):
     towerfile = tmp_path / "t.qt"
     towerfile.write_text("QTOWER 1\nlevels 1\nsquare 1: 2\n")
     script = tmp_path / "script.qt"
     script.write_text("eval g1\n")
-    out = io.StringIO()
-    status = run_batch(script, tower_path=towerfile, mode="coords", out=out)
-    assert status == 0
-    assert "[0, 1]" in out.getvalue()
+    assert main(["run", "--tower", str(towerfile), "--mode", "coords", str(script)]) == 0
+    assert "[0, 1]" in capsys.readouterr().out
+    # every session flag at once
+    script.write_text("eval g1\nsign 1 - g1\n")
+    argv = ["run", "--quiet", "--tower", str(towerfile), "--precision", "8", "--mode", "decimal"]
+    assert main([*argv, str(script)]) == 0
+    assert capsys.readouterr() == ("1.41406250000000\n-1\n", "")
 
 
 # -- repl -------------------------------------------------------------------------

@@ -510,6 +510,25 @@ def test_power_refuses_coordinates_past_the_cap():
         Q_SQRT2.power(x, n + 1)
 
 
+def test_products_and_quotients_refuse_coordinates_past_the_cap():
+    # a result has about the bits of x plus those of y (of 1/y for a
+    # quotient), as a power has n times the bits of its base
+    half = MAX_COORDINATE_BITS // 2
+    x, y = Q.embed(2 ** (half - 1)), Q.embed(2**half)  # half and half + 1 bits
+    assert Q.mul(x, x) == Q.div(x, Q.inv(x)) == Q.embed(2 ** (2 * half - 2))
+    for result, compute in (("a product", Q.mul), ("a quotient", Q.div)):
+        with pytest.raises(CoordinateTooLarge) as info:
+            compute(x, y if compute == Q.mul else Q.inv(y))
+        assert str(info.value) == (
+            f"{result} with coordinates of about {2 * half + 1} bits "
+            f"passes the {MAX_COORDINATE_BITS}-bit limit"
+        )
+    # at every level, before the product is taken
+    z = Q_SQRT2.lift_to(y, 1) + Q_SQRT2.generator(1)
+    with pytest.raises(CoordinateTooLarge):
+        Q_SQRT2.mul(z, z)
+
+
 def test_exact_sign_examples():
     assert Q_SQRT2.exact_sign(elt(1, 1, -1)) == -1  # 1 - sqrt2 < 0
     assert Q_SQRT2.exact_sign(elt(1, 0, 0)) == 0
