@@ -13,7 +13,7 @@ from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_UP, Context
 from fractions import Fraction
 from types import MappingProxyType
 
-from .errors import QTowerError
+from .errors import QTowerError, TowerFormatError
 from .exactnum import parse_integer, rationals_text
 from .parser import eval_expr, parse_expr, parse_poly, tokenize
 from .poly import (
@@ -24,7 +24,15 @@ from .poly import (
     rrt_candidates,
 )
 from .record import Record
-from .tower import Tower, TowerElement, format_coords, load_tower, save_tower, strip_comment
+from .tower import (
+    Tower,
+    TowerElement,
+    format_coords,
+    load_tower,
+    read_utf8,
+    save_tower,
+    strip_comment,
+)
 
 MODES = ("coords", "decimal", "both")
 MAX_PRECISION = 65536  # bits; a depth-6 decimal still renders in well under a second
@@ -294,13 +302,9 @@ def run_batch(script_path, session: Session | None = None, quiet=False, out=None
     session = Session() if session is None else session
     out = sys.stdout if out is None else out
     try:
-        with open(script_path, "rb") as fh:
-            text = fh.read().decode("utf-8")
-    except OSError as exc:
+        text = read_utf8(script_path)
+    except (OSError, TowerFormatError) as exc:
         print(f"cannot read script: {exc}", file=sys.stderr)
-        return 2
-    except UnicodeDecodeError as exc:
-        print(f"cannot read script: not UTF-8: {exc.reason} at byte {exc.start}", file=sys.stderr)
         return 2
     for line in filter(None, map(strip_comment, text.splitlines())):
         if not quiet:

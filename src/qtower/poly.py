@@ -2,9 +2,9 @@
 with the cubic machinery behind constructibility verdicts.
 
 A cubic with no rational root has no root in any tower of real
-quadratic extensions, because a root at level k forces (via the
-conjugate-root factorization) a root at level k-1, and so on down to Q.
-`descend_cubic_root` is that argument run forward as an algorithm.
+quadratic extensions: a root in a tower has degree 1 or 2 over Q, and
+with a root of degree 2 comes its conjugate, which leaves a rational
+third root. `descend_cubic_root` is that argument run as an algorithm.
 Every cubic procedure starts from `_integer_coeffs`, the one integer
 form of the cubic and the one check of its degree.
 
@@ -87,27 +87,21 @@ def poly_eval(p: Polynomial, x, tower: Tower | None = None):
 
 
 def descend_cubic_root(p: Polynomial, tower: Tower, x0: TowerElement) -> Fraction:
-    """From an exact root x0 of a rational cubic at some tower level,
-    walk down to a rational root.
+    """A rational root of the cubic, from its exact root x0 at some tower
+    level, in one conjugate step.
 
-    At each level: if the extension part of the current root is zero,
-    project into the subfield; otherwise replace it by the remaining
-    root of the factorization a3*(x - x0)*(x - conj(x0))*(x - C), namely
-    C = -a2/a3 - (x0 + conj(x0)), which lives one level down. Only x0 is
-    tested: being of degree 1 or 2 over Q, it is a + b*sqrt(d) with a, b
-    rational, so the first such step lands on the rational -a2/a3 - 2a
-    and later levels only project it; testing each level would evaluate
-    the cubic at that one rational again and again."""
+    x0 has degree 1 or 2 over Q: it is a root of a cubic in a field of
+    degree 2^n. Degree 1: x0 is its constant coordinate. Degree 2: write
+    x0 = a + b*g over its top nonzero generator g, b != 0. Conjugation
+    g -> -g fixes Q, so it maps x0 to its other conjugate over Q; then
+    2a = x0 + conj(x0) is rational, a is x0's constant coordinate, and
+    a3*(x - x0)*(x - conj(x0))*(x - C) leaves the root C = -a2/a3 - 2a."""
     a, _ = _integer_coeffs(p)
     if not poly_eval(p, x0, tower).is_zero:
         raise ValueError("x0 is not a root of the cubic")
-    x = x0
-    while x.level > 0:
-        if x.extension_part().is_zero:
-            x = x.subfield_part()
-        else:
-            x = tower.embed(Fraction(-a[2], a[3]), x.level - 1) - x.subfield_part().scale(2)
-    return x.rational_value
+    if x0.is_rational:
+        return x0.coords[0]
+    return Fraction(-a[2], a[3]) - 2 * x0.coords[0]
 
 
 def _integer_coeffs(p: Polynomial) -> tuple[list[int], int]:

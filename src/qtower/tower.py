@@ -64,7 +64,7 @@ from .record import Record, set_field
 
 _ZERO = Fraction(0)
 
-# The most bits `mul`, `div` and `power` let a coordinate of a result have:
+# The most bits `mul`, `inv`, `div` and `power` let a coordinate of a result have:
 # about 315,000 decimal digits, 73 times the 4,300 that Python prints, so signs
 # and decimals of such results still come out. A power's costliest step, its
 # last squaring, multiplies coordinates of 2^19 bits: about 25 ms per product on
@@ -236,8 +236,9 @@ def _bits(v, d: int) -> int:
 
 
 def _refuse_past_limit(result: str, bits: int) -> None:
-    """A product of factors of b1, b2, ... bits has about b1 + b2 + ... bits;
-    refuse it with CoordinateTooLarge before it is taken."""
+    """A product of factors of b1, b2, ... bits has about b1 + b2 + ... bits,
+    and a level-k inverse 2^k times its input's; refuse such a result with
+    CoordinateTooLarge before it is taken."""
     if bits > MAX_COORDINATE_BITS:
         raise CoordinateTooLarge(
             f"{result} with coordinates of about {bits} bits passes the "
@@ -272,34 +273,12 @@ class TowerElement(Record):
         """True when all coordinates beyond the constant one vanish."""
         return not any(self.coords[1:])
 
-    @property
-    def rational_value(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError("element is not rational")
-        return self.coords[0]
-
-    def _halves(self):
-        h = 1 << (self.level - 1)
-        return self.coords[:h], self.coords[h:]
-
-    def subfield_part(self) -> TowerElement:
-        """The a in x = a + b*g relative to the top generator."""
-        if self.level == 0:
-            raise LevelMismatch("level 0 has no subfield part")
-        return TowerElement(self.level - 1, self._halves()[0])
-
-    def extension_part(self) -> TowerElement:
-        """The b in x = a + b*g relative to the top generator."""
-        if self.level == 0:
-            raise LevelMismatch("level 0 has no extension part")
-        return TowerElement(self.level - 1, self._halves()[1])
-
     def conjugate(self) -> TowerElement:
         """a + b*g -> a - b*g: negate the extension-half coordinates."""
         if self.level == 0:
             raise LevelMismatch("conjugation needs a top generator (level >= 1)")
-        a, b = self._halves()
-        return TowerElement(self.level, a + tuple([-x for x in b]))
+        h = 1 << (self.level - 1)
+        return TowerElement(self.level, self.coords[:h] + tuple([-x for x in self.coords[h:]]))
 
     def scale(self, q) -> TowerElement:
         """q*x for q an int or a Fraction."""
@@ -519,6 +498,7 @@ class Tower(Record):
         """1/(v/d) as (vector, denominator)."""
         if not any(v):
             raise DivisionByZero("inverse of zero")
+        _refuse_past_limit("an inverse", _bits(v, d) << level)
         w, m = _inv(v, level, self._squares)
         return [x * d for x in w], m
 
@@ -759,11 +739,15 @@ def save_tower(tower: Tower, path) -> None:
             fh.truncate()
 
 
-def load_tower(path) -> Tower:
+def read_utf8(path) -> str:
+    """A tower file's or script's text; bytes not UTF-8 raise TowerFormatError."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise TowerFormatError(f"not UTF-8: {exc.reason} at byte {exc.start}") from None
-    return loads_tower(text)
+
+
+def load_tower(path) -> Tower:
+    return loads_tower(read_utf8(path))
