@@ -495,10 +495,15 @@ class Tower(Record):
         return TowerElement(level, tuple([Fraction(n * p, d) for n, p in zip(v, self._scales)]))
 
     def _inverse(self, v, d, level):
-        """1/(v/d) as (vector, denominator)."""
+        """1/(v/d) as (vector, denominator). `_inv` inverts an element
+        with a zero top half one level down, so the 2^k estimate takes k
+        as the element's own level, not the declared one."""
         if not any(v):
             raise DivisionByZero("inverse of zero")
-        _refuse_past_limit("an inverse", _bits(v, d) << level)
+        own = level
+        while own and not any(v[1 << (own - 1):]):
+            own -= 1
+        _refuse_past_limit("an inverse", _bits(v, d) << own)
         w, m = _inv(v, level, self._squares)
         return [x * d for x in w], m
 

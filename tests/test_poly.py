@@ -149,25 +149,26 @@ def test_descend_from_quadratic_irrationals_in_rational_square_towers():
                 assert descend_cubic_root(p, t, x0) == r
 
 
-def test_descend_when_the_top_square_is_not_rational():
-    # g2^2 = 9 + 6*sqrt(2) = 3*(1 + sqrt(2))^2, so sqrt(3) = g1*g2 - g2, and
-    # 2x^3 - 21x^2 + 54x - 22 = (2x - 1)(x^2 - 10x + 22) has the roots 5 +- sqrt(3)
-    t = Tower([[2], [9, 6]])
-    p = Polynomial((-22, 54, -21, 2))
-    g1, g2 = t.lift_to(t.generator(1), 2), t.generator(2)
-    for sign in (1, -1):
-        x0 = TowerElement(2, (5, 0, -sign, sign))
-        assert x0 == t.embed(5) + (t.mul(g1, g2) - g2).scale(sign)
-        assert descend_cubic_root(p, t, x0) == Fraction(1, 2)
-
-
 def test_descend_from_sqrt_d_under_a_nested_top_generator():
     # top square g^2 = d*w^2 with w irrational one level down and d a
     # rational non-square there: sqrt(d) = g/w, and x0 = a +- b*sqrt(d)
-    # are the roots of a3*(x - r)*(x^2 - 2a*x + a^2 - b^2*d) besides r
+    # are the roots of a3*(x - r)*(x^2 - 2a*x + a^2 - b^2*d) besides r.
+    # The first case is fixed: g2^2 = 9 + 6*sqrt(2) = 3*(1 + sqrt(2))^2, so
+    # sqrt(3) = g1*g2 - g2, x0 = 5 +- sqrt(3) = [5, 0, -+1, +-1], and
+    # 2x^3 - 21x^2 + 54x - 22 = (2x - 1)(x^2 - 10x + 22)
     rng = random.Random(83)
-    done = 0
-    while done < 20:
+    cases = [
+        (
+            Tower([[2], [9, 6]]),
+            3,
+            TowerElement(2, (0, 0, -1, 1)),
+            Polynomial((-22, 54, -21, 2)),
+            5,
+            1,
+            Fraction(1, 2),
+        )
+    ]
+    while len(cases) < 21:
         base = random_tower(rng, rng.randint(1, 2))
         d = Fraction(rng.randint(2, 40), rng.randint(1, 10))
         w = random_element(rng, base.depth, bound=10, nonzero=True)
@@ -176,14 +177,14 @@ def test_descend_from_sqrt_d_under_a_nested_top_generator():
             continue
         t = base.adjoin_sqrt(square)
         sqrt_d = t.mul(t.generator(t.depth), t.lift_to(base.inv(w), t.depth))
-        assert t.mul(sqrt_d, sqrt_d) == t.embed(d)
         a, r = random_rational(rng, 20), random_rational(rng, 20)
         b = Fraction(rng.choice([-1, 1]) * rng.randint(1, 20), rng.randint(1, 20))
         a3 = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
-        p = expand(a3, [r], (a * a - b * b * d, -2 * a))
+        cases.append((t, d, sqrt_d, expand(a3, [r], (a * a - b * b * d, -2 * a)), a, b, r))
+    for t, d, sqrt_d, p, a, b, r in cases:
+        assert t.mul(sqrt_d, sqrt_d) == t.embed(d)
         for x0 in (t.embed(a) + sqrt_d.scale(b), t.embed(a) - sqrt_d.scale(b)):
             assert descend_cubic_root(p, t, x0) == r
-        done += 1
 
 
 def test_descend_cubic_root_errors():

@@ -18,7 +18,7 @@ from qtower.errors import (
     TowerFormatError,
     TowerTooDeep,
 )
-from qtower.parser import MAX_EXPONENT
+from qtower.parser import MAX_EXPONENT, eval_expr, parse_expr
 from qtower.tower import (
     MAX_COORDINATE_BITS,
     MAX_LEVELS,
@@ -522,6 +522,28 @@ def test_inverses_refuse_coordinates_past_the_cap():
             f"an inverse with coordinates of about {32 * 32769} bits "
             f"passes the {MAX_COORDINATE_BITS}-bit limit"
         )
+    assert time.perf_counter() - start < 1
+
+
+def test_inverse_estimates_count_the_element_s_own_level():
+    # an element with a zero top half inverts one level down with small
+    # results, so rationals and lifted elements of a deep tower pass the cap
+    t = Q
+    for s in (2, 3, 5, 7, 11):
+        t = t.adjoin_sqrt(s)
+    big = t.embed(2**32768)
+    lifted = t.lift_to(TowerElement(1, (2**32768, 1)), 5)  # 2 * 32,769 bits
+    start = time.perf_counter()
+    for compute in (t.inv, lambda x: t.div(t.one(), x), lambda x: t.power(x, -1)):
+        assert compute(big) == t.embed(Fraction(1, 2**32768))
+        assert t.mul(compute(lifted), lifted) == t.one()
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43]
+    deepest = Tower([[p] + [0] * ((1 << i) - 1) for i, p in enumerate(primes)])
+    assert eval_expr(parse_expr("1/100000000000000000000"), deepest) == deepest.embed(
+        Fraction(1, 10**20)
+    )
+    quotient = eval_expr(parse_expr("g1/10^20"), deepest)
+    assert quotient == deepest.lift_to(TowerElement(1, (0, Fraction(1, 10**20))), 14)
     assert time.perf_counter() - start < 1
 
 
